@@ -678,6 +678,39 @@ let robustness_cmd =
     (Cmd.info "robustness" ~doc:"The 5.1 robustness sweep: false-positive check on all suites.")
     Term.(const run $ const ())
 
+(* Benign-fault recovery policy, per-variant fault verdicts and incident
+   printing, shared by the chaos (local) and cluster commands. *)
+let policy_conv =
+  Arg.conv
+    ( (function
+       | "abort" -> Ok Nxe.Abort_on_fault
+       | "quarantine" -> Ok Nxe.Quarantine
+       | "restart" -> Ok Nxe.Restart_once
+       | s -> Error (`Msg ("unknown policy " ^ s))),
+      fun fmt p ->
+        Format.fprintf fmt "%s"
+          (match p with
+           | Nxe.Abort_on_fault -> "abort"
+           | Nxe.Quarantine -> "quarantine"
+           | Nxe.Restart_once -> "restart") )
+
+let status_str = function
+  | Nxe.Healthy -> "healthy"
+  | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
+    Printf.sprintf "QUARANTINED at %.1fus (%s, %d restarts)" q_time
+      (Nxe.cause_string q_cause) q_restarts
+  | Nxe.Recovered { q_time; q_cause; r_time } ->
+    Printf.sprintf "recovered at %.1fus (quarantined %.1fus, %s)" r_time q_time
+      (Nxe.cause_string q_cause)
+
+let print_incidents ~json =
+  List.iter (fun inc ->
+      if json then print_endline (Forensics.to_json inc)
+      else begin
+        print_newline ();
+        print_string (Forensics.to_text inc)
+      end)
+
 let chaos_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Fault-plan seed.")
@@ -686,20 +719,6 @@ let chaos_cmd =
     Arg.(value & opt int 1 & info [ "count" ] ~docv:"K" ~doc:"Number of injected faults.")
   in
   let policy_arg =
-    let policy_conv =
-      Arg.conv
-        ( (function
-           | "abort" -> Ok Nxe.Abort_on_fault
-           | "quarantine" -> Ok Nxe.Quarantine
-           | "restart" -> Ok Nxe.Restart_once
-           | s -> Error (`Msg ("unknown policy " ^ s))),
-          fun fmt p ->
-            Format.fprintf fmt "%s"
-              (match p with
-               | Nxe.Abort_on_fault -> "abort"
-               | Nxe.Quarantine -> "quarantine"
-               | Nxe.Restart_once -> "restart") )
-    in
     Arg.(value & opt policy_conv Nxe.Quarantine
          & info [ "policy" ]
              ~doc:"Benign-fault recovery: abort (fail-stop), quarantine (retire the \
@@ -712,15 +731,6 @@ let chaos_cmd =
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit fault incidents as JSON.")
-  in
-  let status_str = function
-    | Nxe.Healthy -> "healthy"
-    | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-      Printf.sprintf "QUARANTINED at %.1fus (%s, %d restarts)" q_time
-        (Nxe.cause_string q_cause) q_restarts
-    | Nxe.Recovered { q_time; q_cause; r_time } ->
-      Printf.sprintf "recovered at %.1fus (quarantined %.1fus, %s)" r_time q_time
-        (Nxe.cause_string q_cause)
   in
   let run config n seed count policy heartbeat json =
     let units = 24 in
@@ -763,17 +773,7 @@ let chaos_cmd =
     (match r.Nxe.coverage_loss with
      | [] -> Printf.printf "coverage loss: none\n"
      | lost -> Printf.printf "coverage loss: %s\n" (String.concat ", " lost));
-    let incidents =
-      r.Nxe.fault_incidents @ Option.to_list r.Nxe.incident
-    in
-    List.iter
-      (fun inc ->
-        if json then print_endline (Forensics.to_json inc)
-        else begin
-          print_newline ();
-          print_string (Forensics.to_text inc)
-        end)
-      incidents
+    print_incidents ~json (r.Nxe.fault_incidents @ Option.to_list r.Nxe.incident)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -838,18 +838,10 @@ let cluster_cmd =
                    delays, corruptions).")
   in
   let policy_arg =
-    let cluster_policy_conv =
-      Arg.conv
-        ( (function
-           | "abort" -> Ok Nxe.Abort_on_fault
-           | "quarantine" -> Ok Nxe.Quarantine
-           | s -> Error (`Msg ("unknown policy " ^ s ^ " (clusters support abort, quarantine)"))),
-          fun fmt p ->
-            Format.fprintf fmt "%s"
-              (match p with Nxe.Quarantine -> "quarantine" | _ -> "abort") )
-    in
-    Arg.(value & opt cluster_policy_conv Nxe.Quarantine
-         & info [ "policy" ] ~doc:"Benign-fault recovery on faults: abort or quarantine.")
+    Arg.(value & opt policy_conv Nxe.Quarantine
+         & info [ "policy" ]
+             ~doc:"Benign-fault recovery on faults: abort or quarantine (restart is a \
+                   single-host feature; the engine rejects it on clusters).")
   in
   let heartbeat_arg =
     Arg.(value & opt float 5000.0
@@ -858,15 +850,6 @@ let cluster_cmd =
                    workload's longest syscall-free compute stretch.")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit incidents as JSON.") in
-  let status_str = function
-    | Nxe.Healthy -> "healthy"
-    | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-      Printf.sprintf "QUARANTINED at %.1fus (%s, %d restarts)" q_time
-        (Nxe.cause_string q_cause) q_restarts
-    | Nxe.Recovered { q_time; q_cause; r_time } ->
-      Printf.sprintf "recovered at %.1fus (quarantined %.1fus, %s)" r_time q_time
-        (Nxe.cause_string q_cause)
-  in
   let mutate_kth_syscall ~k trace =
     let seen = ref 0 in
     List.map
@@ -916,14 +899,7 @@ let cluster_cmd =
         Printf.printf "  link %-8s msgs=%d bytes=%d retransmits=%d\n" lname st.Net.s_msgs
           st.Net.s_bytes st.Net.s_retransmits)
       r.Cluster.link_stats;
-    List.iter
-      (fun inc ->
-        if json then print_endline (Forensics.to_json inc)
-        else begin
-          print_newline ();
-          print_string (Forensics.to_text inc)
-        end)
-      (r.Cluster.fault_incidents @ Option.to_list r.Cluster.incident)
+    print_incidents ~json (r.Cluster.fault_incidents @ Option.to_list r.Cluster.incident)
   in
   let run bench n nodes ship compare diverge chaos policy heartbeat json spans spans_out =
     let tracer =
@@ -952,7 +928,12 @@ let cluster_cmd =
           (if chaos = None then Cluster.default_config.Cluster.fault_policy
            else { Nxe.policy; heartbeat_timeout = heartbeat; restart_backoff = 50.0 }) }
     in
-    let run1 ship = Cluster.run_traces ~config:(config ship) ?faults ~names traces in
+    let run1 ship =
+      try Cluster.run_traces ~config:(config ship) ?faults ~names traces
+      with Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 1
+    in
     if not compare then begin
       Printf.printf "%s x%d on %d nodes, %s shipping\n" bench.Bench.name n nodes
         (Cluster.mode_name ship);

@@ -27,72 +27,33 @@ cat BENCH_interp.json
 
 # Perf gates.  The interpreter numbers are wall-clock, so they are gated
 # against the baseline regenerated just above (catches a same-machine
-# regression without tripping on hardware differences).  The attribution
-# numbers are simulated time — deterministic — so they are gated tightly
-# against the committed BENCH_profile.json, and an injected 25% regression
-# (--scale-baseline 0.8) must make the gate exit non-zero.
+# regression without tripping on hardware differences).
 echo "== perf gate (bench diff interp --quick)"
 dune exec bench/main.exe -- diff interp --quick
-echo "== perf gate (bench diff profile, committed baseline)"
-dune exec bench/main.exe -- diff profile
-echo "== perf gate self-test (injected regression must fail)"
-if dune exec bench/main.exe -- diff profile --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "perf gate self-test: injected regression was NOT detected"; exit 1
-fi
 
-# NXE lockstep gate: `diff nxe --quick` runs the quick `bench nxe`
-# section fresh (which also asserts the hot path's per-sync allocation
-# budget) and compares it against the committed BENCH_nxe.json — the
-# synchronized-syscall counts and simulated times are pinned exactly
-# (bit-identical schedules), the wall-clock sync rate with the same
-# tolerance as the interp gate.  The scaled-baseline rerun proves the
-# gate actually fails on a 25% regression.
-echo "== perf gate (bench nxe --quick vs committed BENCH_nxe.json)"
-dune exec bench/main.exe -- diff nxe --quick
-echo "== perf gate self-test (injected nxe regression must fail)"
-if dune exec bench/main.exe -- diff nxe --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "nxe perf gate self-test: injected regression was NOT detected"; exit 1
-fi
-
-# Distributed NXE gate: `diff net --quick` re-runs the cluster traffic
-# matrix (which itself asserts the >=5x dense-workload byte reduction of
-# selective+replication vs naive, and cross-mode verdict parity) and pins
-# the deterministic wire/time numbers against the committed
-# BENCH_net.json.  The scaled-baseline rerun proves the gate actually
-# fails on an injected 25% regression.
-echo "== perf gate (bench net --quick vs committed BENCH_net.json)"
-dune exec bench/main.exe -- diff net --quick
-echo "== perf gate self-test (injected net regression must fail)"
-if dune exec bench/main.exe -- diff net --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "net perf gate self-test: injected regression was NOT detected"; exit 1
-fi
-
-# SLO/tracing gate: `diff slo --quick` re-runs the causal-tracing matrix
-# fresh — which itself asserts that enabling the tracer leaves the run
-# bit-identical, that the span ring stays inside the NXE's per-sync
-# allocation budget, and that the live windowed p99 agrees with the
-# post-hoc exact percentile within one log-bucket width — and pins the
-# deterministic latency quantiles, burn rates and attribution shares
-# against the committed BENCH_slo.json.
-echo "== perf gate (bench slo --quick vs committed BENCH_slo.json)"
-dune exec bench/main.exe -- diff slo --quick
-echo "== perf gate self-test (injected slo regression must fail)"
-if dune exec bench/main.exe -- diff slo --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "slo perf gate self-test: injected regression was NOT detected"; exit 1
-fi
-
-# Serving gate: `diff serve --quick` re-runs the open-loop offered-load
-# sweep over the NXE group pool — which itself re-proves neutrality
-# (pooled group reports bit-identical to solo replays on the saturated
-# point) — and pins request conservation counts, the deterministic
-# latency quantiles, the rejection rates and the epoll-style batching
-# factor against the committed BENCH_serve.json.
-echo "== perf gate (bench serve --quick vs committed BENCH_serve.json)"
-dune exec bench/main.exe -- diff serve --quick
-echo "== perf gate self-test (injected serve regression must fail)"
-if dune exec bench/main.exe -- diff serve --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "serve perf gate self-test: injected regression was NOT detected"; exit 1
-fi
+# Committed-baseline gates: `diff SECTION` re-runs the bench section
+# fresh and compares it against the committed BENCH_SECTION.json.
+# Simulated numbers are deterministic and pinned exactly (JSON rounding
+# aside); wall-clock rates get a wide tolerance.  The sections also run
+# their own assertions while measuring:
+#   profile  overhead attribution (full mode; the others run --quick)
+#   nxe      lockstep sync rate and the per-sync allocation budget
+#   net      cluster wire traffic: >=5x dense byte reduction of
+#            selective+replication vs naive, cross-mode verdict parity
+#   slo      tracer neutrality, span-ring allocation, live vs exact p99
+#   serve    pool sweep with neutrality re-proved on the saturated point
+# After each gate, the scaled-baseline rerun (an injected 25% regression)
+# must make the gate exit non-zero, proving it can fail.
+for section in profile nxe net slo serve; do
+  if [ "$section" = profile ]; then quick=""; else quick="--quick"; fi
+  echo "== perf gate (bench diff $section${quick:+ $quick} vs committed BENCH_$section.json)"
+  dune exec bench/main.exe -- diff "$section" $quick || {
+    echo "$section perf gate: regression against the committed BENCH_$section.json"; exit 1; }
+  echo "== perf gate self-test (injected $section regression must fail)"
+  if dune exec bench/main.exe -- diff "$section" $quick --scale-baseline 0.8 >/dev/null 2>&1; then
+    echo "$section perf gate self-test: injected regression was NOT detected"; exit 1
+  fi
+done
 
 # Profiler smoke: the overhead-attribution path end to end — per-phase
 # decomposition sums to each variant's thread time (the report prints the

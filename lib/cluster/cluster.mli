@@ -1,23 +1,35 @@
 (** Distributed N-version execution: variant fleets spread over several
     {!Bunshin_machine.Machine} nodes joined by a {!Bunshin_net.Net} model —
-    the DMON / dMVX architecture on top of Bunshin's single-host NXE.
+    the DMON / dMVX architecture, where the distributed monitor is the
+    single-host monitor with a network between the variants.
 
-    The leader variant always runs on node 0 and publishes the same flat
-    syscall slot ring the local engine uses.  Followers placed on node 0
-    consume it directly, exactly as in {!Bunshin_nxe.Nxe}; followers on
-    other nodes see a slot only after it has been {e shipped} over a link
-    (serialized columns, batched messages — no per-slot message records),
-    so their timing honestly includes the wire.
+    There is one lockstep engine, {!Bunshin_nxe.Nxe}; this module is its
+    multi-node face.  It splits a {!config} into the engine's config and
+    the network half ({!Bunshin_nxe.Nxe.wire}), runs
+    {!Bunshin_nxe.Nxe.run_placed}, and projects the {!report}.  The local
+    engine is the one-node placement with no links: a [nodes = 1] cluster,
+    or any placement that keeps every variant on node 0, runs exactly the
+    local engine's schedule — naive as strict lockstep, the selective
+    modes as selective lockstep over their wider rendezvous set below.
 
-    Three ship modes reproduce the dMVX trade-off:
+    The leader variant always runs on node 0 and publishes the engine's
+    flat syscall slot ring.  Followers placed on node 0 consume it
+    directly; followers on other nodes see a slot only after it has been
+    {e shipped} over a link (serialized columns, batched messages — no
+    per-slot message records), so their timing honestly includes the
+    wire.
+
+    Three ship modes reproduce the dMVX trade-off.  Each one is a choice
+    of which syscalls rendezvous plus a byte model:
     - {!Full_remote_lockstep} (naive): every synchronized syscall is
-      remote-checked — raw argument buffers cross the wire per slot, the
-      leader executes only after every remote follower's ack, and read-like
-      results ship back with the release.
-    - {!Selective}: only security-sensitive syscalls (write-flavoured IO,
-      process control, socket ops) round-trip, compared by digest; the rest
-      stream in batches and are checked on arrival, but read-like results
-      still cross the wire.
+      remote-checked (the local engine's strict mode) — raw argument
+      buffers cross the wire per slot, the leader executes only after
+      every remote follower's ack, and read-like results ship back with
+      the release.
+    - {!Selective}: only security-sensitive syscalls round-trip, compared
+      by digest: the local selective set (IO writes) widened by process
+      control and socket ops.  The rest stream in batches and are checked
+      on arrival, but read-like results still cross the wire.
     - {!Selective_replicated}: additionally, read-like results are served
       from the follower node's local copy of the leader stream — only
       metadata crosses for non-sensitive slots.
@@ -26,12 +38,28 @@
     mismatch is detected at the same channel position with the same
     expected/got rendering in all three modes (the {!Bunshin_nxe.Nxe.alert}
     record carries no timestamps), and incidents agree up to wall times —
-    see {!incident_signature}.
+    see {!incident_signature}.  With followers off node 0 the divergence
+    tapes are rebuilt to end at the divergent slot, so run-ahead over the
+    wire cannot show in the evidence.
+
+    {b Single-host features.}  These are rejected with [Invalid_argument]
+    at the engine's one validation site, before anything runs:
+    - [Restart_once]: a restarted variant catches up by refetching the
+      retained stream from slot 0, but remote delivery watermarks,
+      flow-ack cursors and outboxes only move forward, and streams to a
+      retired node are discarded — nothing would re-ship what it needs.
+    - [Fork]: a new execution group needs process creation on the
+      variant's node, which the byte model does not price.
+    - [Shared_read]: §3.3's poisoned-page copy is same-host shared memory;
+      the follower side reads the leader's ring without a delivery
+      watermark.
+    - Signals: {!run_traces} takes no [?signals]; the delivery marker is
+      consumed on the local follower path only.
 
     {b Determinism.}  All cross-node data flows through {!Bunshin_net.Net}
-    links (timed {!Bunshin_machine.Machine.post} deliveries); the cluster
-    loop advances whichever node holds the globally earliest event,
-    breaking ties by node index — one seed, one bit-stable schedule.
+    links (timed {!Bunshin_machine.Machine.post} deliveries); the engine
+    advances whichever node holds the globally earliest event, breaking
+    ties by node index — one seed, one bit-stable schedule.
     Monitor-plane signalling (abort, quarantine, end-of-stream wakes,
     heartbeats) is shared state outside the byte accounting, modelling the
     out-of-band monitor channel.
@@ -40,9 +68,7 @@
     [net.mli]. *)
 
 module M := Bunshin_machine.Machine
-module Sc := Bunshin_syscall.Syscall
 module Trace := Bunshin_program.Trace
-module Program := Bunshin_program.Program
 module Tel := Bunshin_telemetry.Telemetry
 module F := Bunshin_forensics.Forensics
 module Faults := Bunshin_faults.Faults
@@ -50,12 +76,12 @@ module Nxe := Bunshin_nxe.Nxe
 module Net := Bunshin_net.Net
 module Tx := Bunshin_trace_ctx.Trace_ctx
 
-type ship_mode =
+type ship_mode = Nxe.ship_mode =
   | Full_remote_lockstep  (** naive: every slot round-trips with raw buffers *)
   | Selective             (** only sensitive slots round-trip (digest compare) *)
   | Selective_replicated  (** + read-like results served from the local replica *)
 
-type placement =
+type placement = Nxe.placement =
   | Round_robin       (** variant [v] on node [v mod nodes]; leader on node 0 *)
   | Pinned of int list (** explicit variant -> node map; leader must map to 0 *)
 
@@ -86,7 +112,7 @@ type config = {
           signatures and bytes-on-wire are bit-identical with or without
           it (pinned by golden tests). *)
   fault_policy : Nxe.fault_policy;
-      (** [Restart_once] is not supported on clusters (rejected) *)
+      (** [Restart_once] is a single-host feature (rejected, see above) *)
 }
 
 val default_config : config
@@ -95,7 +121,7 @@ val default_config : config
     [Abort_on_fault] with no heartbeat. *)
 
 (** Per-traffic-kind wire accounting (bytes include message headers). *)
-type traffic = {
+type traffic = Nxe.traffic = {
   tf_ship : int;     (** per-slot lockstep ship messages (down) *)
   tf_batch : int;    (** batched non-sensitive slot + order streams (down) *)
   tf_release : int;  (** lockstep releases incl. shipped results (down) *)
@@ -143,22 +169,12 @@ val run_traces :
   report
 (** Execute one trace per variant across the cluster.  Variant 0 is the
     leader.  Traces may use [Work]/[Idle]/[Sys]/[Sys_shared]/[Incr]/
-    [Lock]/[Unlock]/[Barrier]/[Spawn]/[Marker]; [Fork], [Shared_read] and
-    signal delivery are single-host features and are rejected.
+    [Lock]/[Unlock]/[Barrier]/[Spawn]/[Marker]; [Fork] and [Shared_read]
+    are single-host features (see above).  With a [telemetry] sink the
+    engine's [nxe.*] counters, spans and histograms are recorded, exactly
+    as for a local run.
     @raise Invalid_argument on invalid config, placement, unsupported ops,
     or the [Restart_once] policy. *)
-
-val run_builds :
-  ?config:config ->
-  ?machine_config:M.config ->
-  ?faults:Faults.plan ->
-  ?coverage:string list list ->
-  ?jitter:float ->
-  seed:int ->
-  Program.build list ->
-  report
-(** Build traces from program builds (with the same per-(variant, function)
-    compute jitter model as {!Bunshin_nxe.Nxe.run_builds}) and run them. *)
 
 val incident_signature : F.incident -> string
 (** Canonical rendering of an incident with wall times stripped (tape and

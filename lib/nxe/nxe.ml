@@ -9,6 +9,7 @@ module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
 module Pr = Bunshin_profile.Profile
 module Tx = Bunshin_trace_ctx.Trace_ctx
+module Net = Bunshin_net.Net
 
 type mode = Strict_lockstep | Selective_lockstep
 
@@ -36,7 +37,6 @@ type config = {
   telemetry : Tel.sink option;
   fault_policy : fault_policy;
   tracer : Tx.t option;
-  trace_node : int;
 }
 
 let default_config =
@@ -56,10 +56,33 @@ let default_config =
     telemetry = None;
     fault_policy = default_policy;
     tracer = None;
-    trace_node = 0;
   }
 
 let selective = { default_config with mode = Selective_lockstep }
+
+type ship_mode = Full_remote_lockstep | Selective | Selective_replicated
+
+type placement = Round_robin | Pinned of int list
+
+type wire = {
+  nodes : int;
+  placement : placement;
+  ship : ship_mode;
+  link : Net.params;
+  net_seed : int;
+  batch_slots : int;
+  ack_every : int;
+  msg_cost : float;
+}
+
+type traffic = {
+  tf_ship : int;
+  tf_batch : int;
+  tf_release : int;
+  tf_ack : int;
+  tf_flow : int;
+  tf_order : int;
+}
 
 (* A hung fiber sleeps this long: practically forever at simulation time
    scales, but finite so an unmonitored group (no heartbeat watchdog)
@@ -120,6 +143,15 @@ type report = {
   machine_stats : M.stats;
 }
 
+type wire_report = {
+  placed : int list;
+  remote_checked : int;
+  replicated_results : int;
+  traffic : traffic;
+  net : Net.t;
+  node_stats : M.stats list;
+}
+
 let quarantined_variants r =
   List.concat
     (List.mapi
@@ -173,6 +205,55 @@ let report_signature r =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
+(* Wire sizing.  The byte model is deliberately simple and explicit: a
+   fixed per-message header, per-slot metadata proportional to the
+   argument vector (position, syscall number, a 16-byte digest, 8 bytes
+   per argument), and a page-sized raw buffer whenever IO content must
+   cross the wire.  What varies between ship modes is exactly WHICH of
+   these components travel — that difference is the dMVX curve. *)
+
+(* 24 bytes of transport/session header plus 8 bytes of causal-trace
+   context (trace id + span id, 32-bit each) piggybacked on EVERY message
+   unconditionally — the header reserves the field whether or not a
+   tracer is attached, so enabling tracing cannot change bytes-on-wire,
+   schedules, or reports (the bit-identity guarantee). *)
+let msg_hdr = 32
+let io_payload = 4096
+let slot_meta sc = 32 + (8 * List.length sc.Sc.args)
+
+(* Lockstep ship (down): naive mode carries the raw write buffer so the
+   remote check compares content; selective modes compare by digest. *)
+let ship_bytes ship sc =
+  msg_hdr + slot_meta sc
+  + (match ship with
+    | Full_remote_lockstep -> (
+      match sc.Sc.klass with Sc.Io_write -> io_payload | _ -> 0)
+    | Selective | Selective_replicated -> 0)
+
+(* Lockstep release (down): result value; a read-like lockstep slot must
+   also ship the buffer the leader read — in every mode (these are the
+   security-sensitive ones). *)
+let release_bytes sc =
+  msg_hdr + 16 + (match sc.Sc.klass with Sc.Io_read -> io_payload | _ -> 0)
+
+(* One entry of a batched non-sensitive slot message: metadata plus the
+   result; read results ride along unless they are served from the
+   follower node's local replica of the leader stream. *)
+let batch_entry_bytes ship sc =
+  slot_meta sc + 8
+  + (match sc.Sc.klass with
+    | Sc.Io_read when ship <> Selective_replicated -> io_payload
+    | _ -> 0)
+
+let ack_bytes = msg_hdr + 16
+let flow_bytes = msg_hdr + 16
+let order_entry_bytes = 16
+
+(* dMVX's selective cross-checking widens the local selective set (IO
+   writes) with process control and socket control operations. *)
+let socket_ops = [ "socket"; "connect"; "bind"; "listen"; "accept"; "accept4"; "shutdown" ]
+
+(* ------------------------------------------------------------------ *)
 (* Internal state *)
 
 (* Placeholder filling unwritten ring cells; never compared or executed. *)
@@ -190,7 +271,7 @@ let sc_fork_cost = Sc.base_cost (Sc.fork ())
    vote write preallocated ints/floats/bools — no record per event.  The
    per-slot columns are:
      sl_sc       the published syscall
-     sl_ready    leader released the slot (result available)
+     sl_ready    leader released the slot (result available on node 0)
      sl_arrived  followers checked in so far
      sl_first/sl_last/sl_lastv   straggler tracking — the leader's
        "arrival" is its publish time; followers stamp the time they
@@ -200,8 +281,15 @@ let sc_fork_cost = Sc.base_cost (Sc.fork ())
        spin tests a bool, not a string
      sl_trace/sl_span   causal-trace context stamped by the leader at
        publish time ([-1] without a tracer): the propagated ids that let
-       followers — and, through the cluster's link messages, remote
-       nodes — attach their spans to the same rendezvous tree *)
+       followers — and, through link messages, remote nodes — attach
+       their spans to the same rendezvous tree
+     sl_ship     lockstep ship time, for the RTT histogram (grown only
+       when there are remote nodes)
+   The columns live in shared memory on every placement: they model the
+   content of messages, and sharing them keeps divergence verdicts
+   structurally identical across placements.  What a remote node may look
+   at is gated by its delivery watermarks [rp_len] / [rp_released], which
+   only ever advance from a Net delivery callback. *)
 type chan = {
   ch_id : int;
   ch_path : string; (* identity of the logical thread, equal across variants *)
@@ -214,11 +302,16 @@ type chan = {
   mutable sl_sigdel : bool array;
   mutable sl_trace : int array;
   mutable sl_span : int array;
+  mutable sl_ship : float array;
   mutable sl_len : int;
   mutable leader_pos : int;
   mutable leader_done : bool;
   cursors : int array; (* per follower *)
+  kn : int array; (* per follower: the leader's (wire-delayed) knowledge of it *)
+  last_ack : int array; (* per follower: cursor value last flow-acked *)
   fol_done : bool array;
+  rp_len : int array; (* per node: slots delivered (visible) there *)
+  rp_released : int array; (* per node: releases delivered there *)
   leader_q : M.Waitq.t;
   fol_q : M.Waitq.t array;
   tapes : F.Tape.t array;
@@ -245,16 +338,51 @@ let ensure_slot chan =
     chan.sl_lastv <- grow_i chan.sl_lastv;
     chan.sl_sigdel <- grow_b chan.sl_sigdel;
     chan.sl_trace <- grow_i chan.sl_trace;
-    chan.sl_span <- grow_i chan.sl_span
+    chan.sl_span <- grow_i chan.sl_span;
+    if Array.length chan.rp_len > 1 then chan.sl_ship <- grow_f chan.sl_ship
   end
 
 (* Weak-determinism replay state: one per process path, shared by all
    variants (models the kernel module's order_list).  Order entries are
-   interned channel ids — the replay spin compares ints, never paths. *)
+   interned channel ids — the replay spin compares ints, never paths.  A
+   follower replays an entry only once it is delivered to its node. *)
 type det = {
   d_order : int Vec.t;   (* ltids (as channel ids) in leader acquisition order *)
   d_cursors : int array; (* per follower variant *)
   d_qs : M.Waitq.t array; (* per follower variant *)
+  rd_len : int array; (* per node: entries delivered there *)
+}
+
+(* Per-remote-node outbox of batched stream entries.  Contiguous runs on
+   the same channel / order list coalesce into one watermark item, so a
+   batch of K slots is one message and one list walk at delivery. *)
+type ob_item =
+  | Ob_slots of chan * int (* watermark: slots below are delivered+released *)
+  | Ob_order of det * int (* watermark: order entries below are delivered *)
+
+type outbox = {
+  mutable ob_items : ob_item list; (* newest first *)
+  mutable ob_slots : int;
+  mutable ob_bytes : int;
+  mutable ob_span : int; (* causal context of the newest appended slot *)
+}
+
+(* The network half of a cluster run: links to and from node 0, outboxes
+   and wire accounting.  Absent for the local engine. *)
+type remote = {
+  w : wire;
+  net : Net.t;
+  down : Net.link array; (* index k-1: node 0 -> node k *)
+  up : Net.link array; (* index k-1: node k -> node 0 *)
+  outboxes : outbox array; (* index k-1 *)
+  mutable remote_checked : int;
+  mutable replicated : int;
+  mutable t_ship : int;
+  mutable t_batch : int;
+  mutable t_release : int;
+  mutable t_ack : int;
+  mutable t_flow : int;
+  mutable t_order : int;
 }
 
 (* Trace handle: present only when [config.telemetry] is set.  The
@@ -277,7 +405,9 @@ type tel = {
 type t = {
   cfg : config;
   n : int;
-  machine : M.t;
+  machines : M.t array; (* per node; node 0 hosts the leader and the monitor *)
+  place : int array; (* variant -> node; all 0 for the local engine *)
+  remote : remote option;
   tel : tel option;
   h_gap : Tel.Hist.t;  (* leader run-ahead distance, slots *)
   h_wait : Tel.Hist.t; (* blocked time at sync points, us *)
@@ -329,18 +459,31 @@ type t = {
 }
 
 let aborted nxe = nxe.failed <> None
+let machine_of nxe variant = nxe.machines.(nxe.place.(variant))
+
+(* Which synchronized syscalls rendezvous before the leader executes them:
+   all of them in strict mode, the IO writes in selective mode — widened
+   by dMVX's process-control and socket set when a ship mode is in play. *)
+let rendezvous nxe sc =
+  nxe.cfg.mode = Strict_lockstep
+  || Sc.is_lockstep_selected sc
+  ||
+  match nxe.remote with
+  | None -> false
+  | Some _ -> sc.Sc.klass = Sc.Process || List.mem sc.Sc.name socket_ops
 
 (* Heartbeat: any interaction with the engine proves the variant alive. *)
-let touch nxe variant = nxe.last_progress.(variant) <- M.now nxe.machine
+let touch nxe variant = nxe.last_progress.(variant) <- M.now (machine_of nxe variant)
 
 (* A thread parked at an NXE sync point is waiting on its peers, not hung:
    the watchdog must not count its silence against the variant.  All NXE
    waits are condition loops, so the accounting survives spurious wakes. *)
 let nxe_wait nxe ~variant q =
+  let m = machine_of nxe variant in
   nxe.v_parked.(variant) <- nxe.v_parked.(variant) + 1;
-  let prev = M.set_wait_phase nxe.machine (Pr.Phase.slot Pr.Phase.Lockstep_wait) in
-  M.Waitq.wait nxe.machine q;
-  ignore (M.set_wait_phase nxe.machine prev);
+  let prev = M.set_wait_phase m (Pr.Phase.slot Pr.Phase.Lockstep_wait) in
+  M.Waitq.wait m q;
+  ignore (M.set_wait_phase m prev);
   nxe.v_parked.(variant) <- nxe.v_parked.(variant) - 1
 
 (* Work with the sanitizer share carved out: a single compute call (burst
@@ -348,7 +491,7 @@ let nxe_wait nxe ~variant q =
    run); the variant's check fraction of the measured delta is then moved
    from Compute to Sanitizer post-hoc. *)
 let do_work nxe ~variant fname cost =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   let f =
     match nxe.profile with
     | Some c -> Pr.Collector.check_fraction c ~variant fname
@@ -369,7 +512,7 @@ let do_work nxe ~variant fname cost =
          own one-span trace; a0 carries the sanitizer share of the work. *)
       let id =
         Tx.record tc Tx.Sanitizer ~trace:(Tx.new_trace tc) ~parent:(-1)
-          ~node:nxe.cfg.trace_node ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:(M.now m)
+          ~node:nxe.place.(variant) ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:(M.now m)
       in
       Tx.annotate tc id ~a0:(delta *. f) ~a1:0.0 ~a2:0.0
     | None -> ()
@@ -378,8 +521,8 @@ let do_work nxe ~variant fname cost =
 (* Follower fetch compute: when the follower blocked, the futex round trip
    (resched) is bundled into the same compute call so the schedule matches
    the untagged engine; its share of the measured delta is reattributed. *)
-let fetch_compute nxe ~blocked =
-  let m = nxe.machine in
+let fetch_compute nxe ~variant ~blocked =
+  let m = machine_of nxe variant in
   let fc = nxe.cfg.fetch_cost in
   if not blocked then ph_compute m Pr.Phase.Fetch fc
   else begin
@@ -401,21 +544,31 @@ let fetch_compute nxe ~blocked =
    per variant, so publish/fetch spans line up visually. *)
 let lane nxe chan ~variant = (chan.ch_id * nxe.n) + variant
 
+(* Wake every follower queue of [qs] on the machine its waiter runs on.
+   On one node this is a single batched scheduler operation (same wake
+   order as per-queue broadcasts). *)
+let wake_all nxe qs =
+  if Array.length nxe.machines = 1 then M.Waitq.broadcast_many nxe.machines.(0) qs
+  else
+    for i = 0 to Array.length qs - 1 do
+      M.Waitq.broadcast (machine_of nxe (i + 1)) qs.(i)
+    done
+
 (* Kick every parked thread so condition loops re-evaluate: used on abort
-   and whenever a quarantine or restart changes who is being waited for. *)
+   and whenever a quarantine or restart changes who is being waited for.
+   Wakes are the monitor plane: shared state, no wire bytes. *)
 let broadcast_all nxe =
-  let m = nxe.machine in
   List.iter
     (fun ch ->
-      M.Waitq.broadcast m ch.leader_q;
-      Array.iter (M.Waitq.broadcast m) ch.fol_q)
+      M.Waitq.broadcast nxe.machines.(0) ch.leader_q;
+      wake_all nxe ch.fol_q)
     nxe.all_chans;
-  List.iter (fun d -> Array.iter (M.Waitq.broadcast m) d.d_qs) nxe.all_dets
+  List.iter (fun d -> wake_all nxe d.d_qs) nxe.all_dets
 
 let fail nxe alert =
   if nxe.failed = None then begin
     nxe.failed <- Some alert;
-    nxe.failed_at <- M.now nxe.machine;
+    nxe.failed_at <- M.now nxe.machines.(0);
     (match nxe.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_alerts;
@@ -426,107 +579,251 @@ let fail nxe alert =
              ("expected", alert.al_expected);
              ("got", alert.al_got);
            ]
-         ~ts:(M.now nxe.machine) ~cat:"nxe" "divergence"
+         ~ts:nxe.failed_at ~cat:"nxe" "divergence"
      | None -> ());
     broadcast_all nxe
   end
 
-let get_chan nxe path =
-  match Hashtbl.find_opt nxe.chan_reg path with
-  | Some c -> c
+(* Abort with an alert at slot [pos] of [chan]. *)
+let fail_at nxe chan ~pos ~variant ~expected ~got ?expected_sc ?got_sc () =
+  fail nxe
+    {
+      al_channel = chan.ch_id;
+      al_position = pos;
+      al_variant = variant;
+      al_expected = expected;
+      al_got = got;
+      al_expected_sc = expected_sc;
+      al_got_sc = got_sc;
+    }
+
+(* Find-or-create in one of the engine's registries. *)
+let intern tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
   | None ->
-    let nf = nxe.n - 1 in
-    let c =
-      {
-        ch_id = nxe.chan_count;
-        ch_path = path;
-        sl_sc = [||];
-        sl_ready = [||];
-        sl_arrived = [||];
-        sl_first = [||];
-        sl_last = [||];
-        sl_lastv = [||];
-        sl_sigdel = [||];
-        sl_trace = [||];
-        sl_span = [||];
-        sl_len = 0;
-        leader_pos = 0;
-        leader_done = false;
-        cursors = Array.make nf 0;
-        fol_done = Array.make nf false;
-        leader_q = M.Waitq.create ();
-        fol_q = Array.init nf (fun _ -> M.Waitq.create ());
-        tapes = Array.init nxe.n (fun _ -> F.Tape.create ~depth:nxe.cfg.recorder_depth);
-      }
-    in
-    nxe.chan_count <- nxe.chan_count + 1;
-    nxe.all_chans <- c :: nxe.all_chans;
-    Hashtbl.replace nxe.chan_reg path c;
-    (match nxe.tel with
-     | Some tel ->
-       for v = 0 to nxe.n - 1 do
-         Tel.name_track tel.t_dom ~tid:(lane nxe c ~variant:v)
-           (Printf.sprintf "%s v%d" path v)
-       done
-     | None -> ());
-    c
+    let v = make () in
+    Hashtbl.replace tbl key v;
+    v
+
+let get_chan nxe path =
+  intern nxe.chan_reg path (fun () ->
+      let nf = nxe.n - 1 in
+      let nodes = Array.length nxe.machines in
+      (* Wire watermarks exist only with remote nodes. *)
+      let wire len = if nodes = 1 then [||] else Array.make len 0 in
+      let c =
+        {
+          ch_id = nxe.chan_count;
+          ch_path = path;
+          sl_sc = [||];
+          sl_ready = [||];
+          sl_arrived = [||];
+          sl_first = [||];
+          sl_last = [||];
+          sl_lastv = [||];
+          sl_sigdel = [||];
+          sl_trace = [||];
+          sl_span = [||];
+          sl_ship = [||];
+          sl_len = 0;
+          leader_pos = 0;
+          leader_done = false;
+          cursors = Array.make nf 0;
+          kn = wire nf;
+          last_ack = wire nf;
+          fol_done = Array.make nf false;
+          rp_len = wire nodes;
+          rp_released = wire nodes;
+          leader_q = M.Waitq.create ();
+          fol_q = Array.init nf (fun _ -> M.Waitq.create ());
+          tapes = Array.init nxe.n (fun _ -> F.Tape.create ~depth:nxe.cfg.recorder_depth);
+        }
+      in
+      nxe.chan_count <- nxe.chan_count + 1;
+      nxe.all_chans <- c :: nxe.all_chans;
+      (match nxe.tel with
+       | Some tel ->
+         for v = 0 to nxe.n - 1 do
+           Tel.name_track tel.t_dom ~tid:(lane nxe c ~variant:v)
+             (Printf.sprintf "%s v%d" path v)
+         done
+       | None -> ());
+      c)
 
 let get_det nxe path =
-  match Hashtbl.find_opt nxe.det_reg path with
-  | Some d -> d
-  | None ->
-    let nf = nxe.n - 1 in
-    let d =
-      {
-        d_order = Vec.create ();
-        d_cursors = Array.make nf 0;
-        d_qs = Array.init nf (fun _ -> M.Waitq.create ());
-      }
-    in
-    nxe.all_dets <- d :: nxe.all_dets;
-    Hashtbl.replace nxe.det_reg path d;
-    d
+  intern nxe.det_reg path (fun () ->
+      let nf = nxe.n - 1 in
+      let d =
+        {
+          d_order = Vec.create ();
+          d_cursors = Array.make nf 0;
+          d_qs = Array.init nf (fun _ -> M.Waitq.create ());
+          rd_len = Array.make (Array.length nxe.machines) 0;
+        }
+      in
+      nxe.all_dets <- d :: nxe.all_dets;
+      d)
 
 (* Counter interning: the (proc path, variant) -> table lookup — a tuple
    allocation plus a string hash — happens once per thread at executor
    entry; per-op access is then an int-keyed lookup on the resolved
    table. *)
 let counter_table nxe path variant =
-  match Hashtbl.find_opt nxe.cnt_reg (path, variant) with
-  | Some t -> t
-  | None ->
-    let t = Hashtbl.create 4 in
-    Hashtbl.replace nxe.cnt_reg (path, variant) t;
-    t
+  intern nxe.cnt_reg (path, variant) (fun () -> Hashtbl.create 4)
 
-let counter_ref (tbl : (int, int64 ref) Hashtbl.t) id =
-  match Hashtbl.find_opt tbl id with
-  | Some r -> r
-  | None ->
-    let r = ref 0L in
-    Hashtbl.replace tbl id r;
-    r
-
-let get_pth nxe path variant =
-  match Hashtbl.find_opt nxe.pth_reg (path, variant) with
-  | Some p -> p
-  | None ->
-    let p = Pthreads.create () in
-    Hashtbl.replace nxe.pth_reg (path, variant) p;
-    p
+let counter_ref (tbl : (int, int64 ref) Hashtbl.t) id = intern tbl id (fun () -> ref 0L)
+let get_pth nxe path variant = intern nxe.pth_reg (path, variant) Pthreads.create
 
 let get_proc nxe path variant =
-  match Hashtbl.find_opt nxe.proc_reg (path, variant) with
-  | Some p -> p
-  | None ->
-    let p =
-      M.new_proc nxe.machine
+  intern nxe.proc_reg (path, variant) (fun () ->
+      M.new_proc (machine_of nxe variant)
         ~cache_sensitivity:nxe.sensitivities.(variant)
         ~name:(Printf.sprintf "%s:%s" nxe.names.(variant) path)
-        ~working_set:nxe.working_sets.(variant) ()
-    in
-    Hashtbl.replace nxe.proc_reg (path, variant) p;
-    p
+        ~working_set:nxe.working_sets.(variant) ())
+
+(* ------------------------------------------------------------------ *)
+(* Shipping: outboxes, flushes and delivery callbacks.  Only reached
+   with remote nodes; every send leaves from node 0 except the acks. *)
+
+(* A node still worth shipping to: it hosts at least one follower that is
+   neither quarantined nor finished.  Streams to retired nodes are
+   discarded — no bytes, no clock advance on a dead machine. *)
+let node_active nxe k =
+  let act = ref false in
+  for v = 1 to nxe.n - 1 do
+    if nxe.place.(v) = k && (not nxe.v_quarantined.(v)) && nxe.live_threads.(v) > 0
+    then act := true
+  done;
+  !act
+
+let wake_node nxe qs k =
+  for i = 0 to Array.length qs - 1 do
+    if nxe.place.(i + 1) = k then M.Waitq.broadcast nxe.machines.(k) qs.(i)
+  done
+
+(* Flush one node's outbox as a single batched message.  Always called
+   from a leader fiber on node 0.  Delivery walks the items in append
+   order and only advances monotone watermarks — re-delivery or overlap
+   with a lockstep ship can never move a watermark backwards. *)
+let flush_node nxe r k =
+  let ob = r.outboxes.(k - 1) in
+  if ob.ob_items <> [] then begin
+    let items = List.rev ob.ob_items in
+    let bytes = msg_hdr + ob.ob_bytes in
+    let span = ob.ob_span in
+    ob.ob_items <- [];
+    ob.ob_slots <- 0;
+    ob.ob_bytes <- 0;
+    ob.ob_span <- -1;
+    if node_active nxe k then begin
+      M.compute nxe.machines.(0) r.w.msg_cost;
+      (match r.w.ship with
+       | Full_remote_lockstep -> r.t_order <- r.t_order + bytes
+       | Selective | Selective_replicated -> r.t_batch <- r.t_batch + bytes);
+      Net.send_traced r.net r.down.(k - 1) ~bytes ~span ~node:k (fun () ->
+          List.iter
+            (fun item ->
+              match item with
+              | Ob_slots (c, hi) ->
+                if hi > c.rp_len.(k) then c.rp_len.(k) <- hi;
+                if hi > c.rp_released.(k) then c.rp_released.(k) <- hi;
+                wake_node nxe c.fol_q k
+              | Ob_order (d, hi) ->
+                if hi > d.rd_len.(k) then d.rd_len.(k) <- hi;
+                wake_node nxe d.d_qs k)
+            items)
+    end
+  end
+
+let flush_all nxe r =
+  for k = 1 to Array.length nxe.machines - 1 do
+    flush_node nxe r k
+  done
+
+(* Append one executed non-sensitive slot to node [k]'s stream; batched
+   slots arrive pre-released (the leader already executed them). *)
+let append_slot nxe r k chan ~pos sc =
+  let ob = r.outboxes.(k - 1) in
+  (match ob.ob_items with
+   | Ob_slots (c, _) :: rest when c == chan ->
+     ob.ob_items <- Ob_slots (chan, pos + 1) :: rest
+   | items -> ob.ob_items <- Ob_slots (chan, pos + 1) :: items);
+  ob.ob_slots <- ob.ob_slots + 1;
+  ob.ob_bytes <- ob.ob_bytes + batch_entry_bytes r.w.ship sc;
+  (* The batch message carries the context of its newest slot: by the time
+     it flushes, earlier slots' rendezvous roots have already closed. *)
+  if pos < Array.length chan.sl_span && chan.sl_span.(pos) >= 0 then
+    ob.ob_span <- chan.sl_span.(pos);
+  if ob.ob_slots >= r.w.batch_slots then flush_node nxe r k
+
+let append_order nxe r k det ~hi =
+  let ob = r.outboxes.(k - 1) in
+  (match ob.ob_items with
+   | Ob_order (d, _) :: rest when d == det -> ob.ob_items <- Ob_order (det, hi) :: rest
+   | items -> ob.ob_items <- Ob_order (det, hi) :: items);
+  ob.ob_bytes <- ob.ob_bytes + order_entry_bytes;
+  (* Naive mode has no slot batches to ride on: each order entry is its
+     own message, like the per-operation synccall it models. *)
+  if r.w.ship = Full_remote_lockstep then flush_node nxe r k
+
+(* Follower -> leader flow-control ack: pushes the follower's consumption
+   cursor into the leader's knowledge ([kn]), releasing ring capacity.
+   Sent every [ack_every] consumed slots, and additionally whenever the
+   follower is about to park with unacked consumption — that bound on
+   staleness is what makes the capacity wait deadlock-free. *)
+let send_flow nxe r chan ~variant =
+  let i = variant - 1 in
+  let node = nxe.place.(variant) in
+  let cur = chan.cursors.(i) in
+  chan.last_ack.(i) <- cur;
+  M.compute nxe.machines.(node) r.w.msg_cost;
+  r.t_flow <- r.t_flow + flow_bytes;
+  Net.send r.net r.up.(node - 1) ~bytes:flow_bytes (fun () ->
+      if cur > chan.kn.(i) then chan.kn.(i) <- cur;
+      M.Waitq.broadcast nxe.machines.(0) chan.leader_q)
+
+let maybe_flow nxe r chan ~variant =
+  let i = variant - 1 in
+  if chan.cursors.(i) - chan.last_ack.(i) >= r.w.ack_every then send_flow nxe r chan ~variant
+
+(* Lockstep ship: everything a remote follower needs to REACH this
+   rendezvous — batched slots, order entries — was appended strictly
+   earlier, so flushing here (before the leader can block) keeps the wait
+   acyclic. *)
+let ship_slot nxe r chan ~pos sc =
+  let m = nxe.machines.(0) in
+  flush_all nxe r;
+  if Array.length chan.rp_len > 1 then chan.sl_ship.(pos) <- M.now m;
+  for k = 1 to Array.length nxe.machines - 1 do
+    if node_active nxe k then begin
+      M.compute m r.w.msg_cost;
+      let bytes = ship_bytes r.w.ship sc in
+      r.t_ship <- r.t_ship + bytes;
+      Net.send_traced r.net r.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k (fun () ->
+          if pos + 1 > chan.rp_len.(k) then chan.rp_len.(k) <- pos + 1;
+          wake_node nxe chan.fol_q k)
+    end
+  done
+
+(* After the leader executed slot [pos]: a lockstep slot's release is an
+   explicit message (carrying read results); any other slot joins the
+   node's batch stream. *)
+let release_slot nxe r chan ~pos sc ~lockstep =
+  for k = 1 to Array.length nxe.machines - 1 do
+    if node_active nxe k then
+      if lockstep then begin
+        M.compute nxe.machines.(0) r.w.msg_cost;
+        let bytes = release_bytes sc in
+        r.t_release <- r.t_release + bytes;
+        Net.send_traced r.net r.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k
+          (fun () ->
+            if pos + 1 > chan.rp_released.(k) then chan.rp_released.(k) <- pos + 1;
+            if pos + 1 > chan.rp_len.(k) then chan.rp_len.(k) <- pos + 1;
+            wake_node nxe chan.fol_q k)
+      end
+      else append_slot nxe r k chan ~pos sc
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Syscall synchronization *)
@@ -534,16 +831,18 @@ let get_proc nxe path variant =
 let live_followers chan =
   Array.fold_left (fun acc d -> if d then acc else acc + 1) 0 chan.fol_done
 
-let min_live_cursor chan =
+(* The leader's run-ahead bound uses what it KNOWS: local followers'
+   cursors directly, remote followers' last acked cursor — the wire delay
+   of flow acks is part of the model, not an implementation shortcut. *)
+let known_min_cursor nxe chan =
   let best = ref max_int in
-  Array.iteri
-    (fun i c -> if (not chan.fol_done.(i)) && c < !best then best := c)
-    chan.cursors;
+  for i = 0 to Array.length chan.cursors - 1 do
+    if not chan.fol_done.(i) then begin
+      let k = if nxe.place.(i + 1) = 0 then chan.cursors.(i) else chan.kn.(i) in
+      if k < !best then best := k
+    end
+  done;
   if !best = max_int then chan.leader_pos else !best
-
-(* One leader publish releases every parked follower as a single batched
-   scheduler operation (same wake order as per-queue broadcasts). *)
-let wake_followers nxe chan = M.Waitq.broadcast_many nxe.machine chan.fol_q
 
 (* ------------------------------------------------------------------ *)
 (* Causal tracing.  The rendezvous root opens when the leader starts its
@@ -552,7 +851,8 @@ let wake_followers nxe chan = M.Waitq.broadcast_many nxe.machine chan.fol_q
    follower's consume — fetches happen post-release, so only that boundary
    lets fetch spans nest inside the root.  All recording is pure
    observation: nothing here touches the schedule, and with
-   [config.tracer = None] every site compiles to a no-op test. *)
+   [config.tracer = None] every site compiles to a no-op test.  Spans are
+   stamped with the node of the variant that produced them. *)
 
 (* Every live (non-exited, non-quarantined) follower has consumed [pos]. *)
 let slot_retired nxe chan pos =
@@ -564,30 +864,35 @@ let slot_retired nxe chan pos =
     chan.cursors;
   !all
 
-(* Record the calling thread's last run-queue wait as a Sched_wait child
-   of the slot's rendezvous root (dropped if it falls outside it).  Must
-   be called before any further [M.compute]: the next burst dispatch
-   overwrites the machine's last-wait stamps. *)
-let trace_sched_wait nxe tc chan pos ~variant =
-  let r0, r1 = M.last_ready_wait nxe.machine in
+(* Record a run-queue wait [(r0, r1)] of [variant] as a Sched_wait child
+   of the slot's rendezvous root (dropped if it falls outside it). *)
+let record_sched_wait nxe tc chan pos ~variant (r0, r1) =
   if r1 > r0 then
     ignore
       (Tx.record_child tc Tx.Sched_wait ~parent:chan.sl_span.(pos)
-         ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:r0 ~t1:r1)
+         ~node:nxe.place.(variant) ~variant ~chan:chan.ch_id ~pos ~t0:r0 ~t1:r1)
+
+(* The calling thread's last run-queue wait.  Must be called before any
+   further [M.compute]: the next burst dispatch overwrites the machine's
+   last-wait stamps. *)
+let trace_sched_wait nxe tc chan pos ~variant =
+  record_sched_wait nxe tc chan pos ~variant (M.last_ready_wait (machine_of nxe variant))
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling: benign-death / missed-heartbeat verdicts, quarantine,
    N-1 degradation and optional restart.  A fault is NOT a divergence: the
    monitor learns about it from waitpid or from silence, never from a
    mismatching syscall, so it gets its own verdict path and its incidents
-   are stamped [F.Fault_isolation] instead of going through blame voting. *)
+   are stamped [F.Fault_isolation] instead of going through blame voting.
+   The monitor plane is shared state, so a remote quarantine produces the
+   exact incident and coverage-loss accounting a local one does. *)
 
 let monitor_proc nxe =
   match nxe.mon_proc with
   | Some p -> p
   | None ->
     (* Zero working set: the monitor must not perturb the cache model. *)
-    let p = M.new_proc nxe.machine ~name:"nxe-monitor" ~working_set:0.0 () in
+    let p = M.new_proc nxe.machines.(0) ~name:"nxe-monitor" ~working_set:0.0 () in
     nxe.mon_proc <- Some p;
     p
 
@@ -610,11 +915,41 @@ let vote_at chan ~pos v =
     else if exited then F.Exited
     else F.Pending
 
+(* Divergence evidence with remote followers must be mode-independent:
+   when a batched check fails, the leader (and followers on other nodes)
+   may have run far ahead of the diverging slot, so a live recorder
+   snapshot would show run-ahead entries naive lockstep can never contain.
+   Rebuild the window ending at the divergence instead — recorded entries
+   where the recorder still holds them, slot-stream reconstructions for
+   positions the variant already passed (a passed check means it issued
+   exactly the leader's syscall there).  Fault incidents, and every
+   incident of a placement that keeps all variants on node 0 (the local
+   engine's case), keep the live tapes. *)
+let divergence_tape nxe chan ~pos v =
+  let lo = max 0 (pos - nxe.cfg.recorder_depth + 1) in
+  let recorded = F.Tape.to_list chan.tapes.(v) in
+  let passed p = if v = 0 then p < chan.sl_len else chan.cursors.(v - 1) > p in
+  List.concat
+    (List.init (pos - lo + 1) (fun i ->
+         let p = lo + i in
+         match List.find_opt (fun (r : F.syscall_rec) -> r.F.r_pos = p) recorded with
+         | Some r -> [ r ]
+         | None ->
+           if passed p && p < chan.sl_len then begin
+             let sc = chan.sl_sc.(p) in
+             [ { F.r_pos = p; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = 0.0 } ]
+           end
+           else []))
+
 let incident_for nxe ~chan ~pos ~flagged ~expected ~got ?mismatch_override ~time () =
+  let rebuild = mismatch_override = None && Array.exists (fun k -> k <> 0) nxe.place in
   F.build ?mismatch_override ~channel:chan.ch_id ~position:pos ~flagged ~expected ~got
     ~time
     ~votes:(Array.init nxe.n (vote_at chan ~pos))
-    ~tapes:(Array.init nxe.n (fun v -> F.Tape.to_list chan.tapes.(v)))
+    ~tapes:
+      (Array.init nxe.n (fun v ->
+           if rebuild then divergence_tape nxe chan ~pos v
+           else F.Tape.to_list chan.tapes.(v)))
     ()
 
 (* Where did the victim go missing?  The first channel (in creation order)
@@ -635,12 +970,12 @@ let expected_at chan pos =
 
 let cancel_variant nxe variant =
   Hashtbl.iter
-    (fun (_, v) proc -> if v = variant then M.cancel_proc nxe.machine proc)
+    (fun (_, v) proc -> if v = variant then M.cancel_proc (machine_of nxe variant) proc)
     nxe.proc_reg
 
 let quarantine nxe ~variant ~cause =
   if not nxe.v_quarantined.(variant) then begin
-    let now = M.now nxe.machine in
+    let now = M.now nxe.machines.(0) in
     let chan, pos = fault_site nxe variant in
     (* Build the incident before retiring the cursors, so the victim's vote
        reads Pending ("never arrived"), not Exited. *)
@@ -672,7 +1007,7 @@ let quarantine nxe ~variant ~cause =
 
 let handle_fault nxe ~variant ~cause =
   if (not (aborted nxe)) && not nxe.v_quarantined.(variant) then begin
-    let m = nxe.machine in
+    let m = nxe.machines.(0) in
     let pol = nxe.cfg.fault_policy in
     let abort () =
       let chan, pos = fault_site nxe variant in
@@ -688,16 +1023,7 @@ let handle_fault nxe ~variant ~cause =
           (incident_for nxe ~chan ~pos ~flagged:variant ~expected ~got
              ~mismatch_override:F.Fault_isolation ~time:(M.now m) ());
       nxe.v_dead.(variant) <- true;
-      fail nxe
-        {
-          al_channel = chan.ch_id;
-          al_position = pos;
-          al_variant = variant;
-          al_expected = expected;
-          al_got = got;
-          al_expected_sc = None;
-          al_got_sc = None;
-        };
+      fail_at nxe chan ~pos ~variant ~expected ~got ();
       (* A stalled fiber must not keep the clock running to its far-future
          wake-up: kill the victim's threads like the monitor would. *)
       cancel_variant nxe variant
@@ -736,7 +1062,7 @@ let apply_faults nxe ~variant sc =
   else begin
     let ord = nxe.sys_ord.(variant) in
     nxe.sys_ord.(variant) <- ord + 1;
-    let m = nxe.machine in
+    let m = machine_of nxe variant in
     let injected () =
       match nxe.tel with
       | Some tel ->
@@ -789,7 +1115,7 @@ let apply_faults nxe ~variant sc =
   end
 
 let leader_sync nxe chan sc =
-  let m = nxe.machine in
+  let m = nxe.machines.(0) in
   let tid = lane nxe chan ~variant:0 in
   (match nxe.tel with
    | Some tel ->
@@ -817,14 +1143,14 @@ let leader_sync nxe chan sc =
         later participant hangs its spans off. *)
      let trace = Tx.new_trace tc in
      let root =
-       Tx.start tc Tx.Rendezvous ~trace ~parent:(-1) ~node:nxe.cfg.trace_node
-         ~variant:(-1) ~chan:chan.ch_id ~pos ~t0:pub_t0
+       Tx.start tc Tx.Rendezvous ~trace ~parent:(-1) ~node:0 ~variant:(-1) ~chan:chan.ch_id
+         ~pos ~t0:pub_t0
      in
      chan.sl_trace.(pos) <- trace;
      chan.sl_span.(pos) <- root;
      ignore
-       (Tx.record_child tc Tx.Publish ~parent:root ~node:nxe.cfg.trace_node ~variant:0
-          ~chan:chan.ch_id ~pos ~t0:pub_t0 ~t1:publish_now)
+       (Tx.record_child tc Tx.Publish ~parent:root ~node:0 ~variant:0 ~chan:chan.ch_id ~pos
+          ~t0:pub_t0 ~t1:publish_now)
    | None ->
      chan.sl_trace.(pos) <- -1;
      chan.sl_span.(pos) <- -1);
@@ -833,21 +1159,23 @@ let leader_sync nxe chan sc =
   touch nxe 0;
   chan.leader_pos <- pos + 1;
   nxe.synced <- nxe.synced + 1;
-  let gap = pos - min_live_cursor chan in
+  let gap = pos - known_min_cursor nxe chan in
   if Array.length chan.cursors > 0 then begin
     nxe.gap_sum <- nxe.gap_sum +. float_of_int gap;
     nxe.gap_count <- nxe.gap_count + 1;
     Tel.Hist.observe nxe.h_gap (float_of_int gap);
     if gap > nxe.gap_max then nxe.gap_max <- gap
   end;
-  wake_followers nxe chan;
-  let lockstep = nxe.cfg.mode = Strict_lockstep || Sc.is_lockstep_selected sc in
+  wake_all nxe chan.fol_q;
+  let lockstep = rendezvous nxe sc in
   let blocked = ref false in
   let wait_from = M.now m in
   if lockstep then begin
     nxe.locksteps <- nxe.locksteps + 1;
     (match nxe.tel with Some tel -> Tel.Counter.incr tel.t_locksteps | None -> ());
-    (* Execute only after every live follower has arrived and agreed. *)
+    (match nxe.remote with Some r -> ship_slot nxe r chan ~pos sc | None -> ());
+    (* Execute only after every live follower — local or remote — has
+       arrived and agreed; remote arrivals are acks on the up link. *)
     let waiting = ref true in
     while !waiting do
       if aborted nxe then waiting := false
@@ -858,16 +1186,8 @@ let leader_sync nxe chan sc =
         for i = 0 to Array.length chan.fol_done - 1 do
           if chan.fol_done.(i) && (not nxe.v_quarantined.(i + 1)) && chan.cursors.(i) <= pos
           then
-            fail nxe
-              {
-                al_channel = chan.ch_id;
-                al_position = pos;
-                al_variant = i + 1;
-                al_expected = sc.Sc.name;
-                al_got = "<exit>";
-                al_expected_sc = Some sc;
-                al_got_sc = None;
-              }
+            fail_at nxe chan ~pos ~variant:(i + 1) ~expected:sc.Sc.name ~got:"<exit>"
+              ~expected_sc:sc ()
         done;
         if (not (aborted nxe)) && chan.sl_arrived.(pos) < live_followers chan then begin
           blocked := true;
@@ -886,9 +1206,8 @@ let leader_sync nxe chan sc =
          if !blocked then begin
            trace_sched_wait nxe tc chan pos ~variant:0;
            ignore
-             (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from
-                ~t1:(M.now m))
+             (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(pos) ~node:0
+                ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from ~t1:(M.now m))
          end
        | None -> ());
       (match nxe.profile with
@@ -909,10 +1228,17 @@ let leader_sync nxe chan sc =
     end
   end
   else begin
-    (* Ring buffer: run ahead up to capacity. *)
-    while (not (aborted nxe)) && chan.leader_pos - min_live_cursor chan > nxe.cfg.ring_capacity do
-      blocked := true;
-      nxe_wait nxe ~variant:0 chan.leader_q
+    (* Ring buffer: run ahead up to capacity.  Flushing charges msg_cost,
+       and a flow ack can land during that compute: re-check before
+       parking so the wakeup is not lost. *)
+    while
+      (not (aborted nxe)) && chan.leader_pos - known_min_cursor nxe chan > nxe.cfg.ring_capacity
+    do
+      match nxe.remote with
+      | Some r when Array.exists (fun ob -> ob.ob_items <> []) r.outboxes -> flush_all nxe r
+      | _ ->
+        blocked := true;
+        nxe_wait nxe ~variant:0 chan.leader_q
     done
   end;
   if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
@@ -922,6 +1248,7 @@ let leader_sync nxe chan sc =
     chan.sl_ready.(pos) <- true;
     nxe.executed <- nxe.executed + 1;
     touch nxe 0;
+    (match nxe.remote with Some r -> release_slot nxe r chan ~pos sc ~lockstep | None -> ());
     (match nxe.tel with
      | Some tel when lockstep ->
        Tel.instant tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
@@ -935,14 +1262,65 @@ let leader_sync nxe chan sc =
           cursor closes it (fetches happen after this release). *)
        if live_followers chan = 0 then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
      | None -> ());
-    wake_followers nxe chan
+    wake_all nxe chan.fol_q
   end;
   match nxe.tel with
   | Some tel -> Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "publish"
   | None -> ()
 
+(* A follower reached slot [pos] with [sc]: record it, then compare with
+   what the leader published there.  Past the end of the stream the
+   leader exited, so [sc] is an extra syscall.  [false]: the group
+   aborted on a divergence. *)
+let follower_agrees nxe chan ~variant ~pos ~now sc =
+  F.Tape.record chan.tapes.(variant) ~pos ~time:now sc;
+  if chan.leader_pos <= pos then begin
+    fail_at nxe chan ~pos ~variant ~expected:"<exit>" ~got:sc.Sc.name ~got_sc:sc ();
+    false
+  end
+  else begin
+    let exp_sc = chan.sl_sc.(pos) in
+    Sc.args_match exp_sc sc
+    || begin
+      fail_at nxe chan ~pos ~variant
+        ~expected:(Format.asprintf "%a" Sc.pp exp_sc)
+        ~got:(Format.asprintf "%a" Sc.pp sc) ~expected_sc:exp_sc ~got_sc:sc ();
+      false
+    end
+  end
+
+(* Arrival time is when the follower reached the sync point (before any
+   blocking; for a remote check, when its ack landed on node 0), so
+   straggler attribution reflects who was late. *)
+let stamp_arrival chan ~pos ~variant t =
+  chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
+  if t < chan.sl_first.(pos) then chan.sl_first.(pos) <- t;
+  if t >= chan.sl_last.(pos) then begin
+    chan.sl_last.(pos) <- t;
+    chan.sl_lastv.(pos) <- variant
+  end
+
+(* The follower takes released slot [pos]: fetch compute, cursor advance
+   and the Fetch span — the last consume retires the slot and closes the
+   rendezvous root. *)
+let consume nxe chan ~variant ~pos ~blocked =
+  let m = machine_of nxe variant in
+  let fetch_t0 = M.now m in
+  fetch_compute nxe ~variant ~blocked;
+  chan.cursors.(variant - 1) <- pos + 1;
+  touch nxe variant;
+  match nxe.cfg.tracer with
+  | Some tc when chan.sl_span.(pos) >= 0 ->
+    ignore
+      (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:nxe.place.(variant)
+         ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
+    if slot_retired nxe chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+  | _ -> ()
+
+(* A follower on node 0 reads the authoritative ring directly and gates
+   on [sl_ready]. *)
 let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
-  let m = nxe.machine in
+  let m = nxe.machines.(0) in
   let i = variant - 1 in
   let pos = chan.cursors.(i) in
   let blocked_for_slot = ref false in
@@ -955,7 +1333,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
   (* Capture the dispatch wait that ended the block now: the resched
      compute below would overwrite the machine's last-wait stamps.  The
      slot's span context is only valid past the wait (leader published). *)
-  let rdy0, rdy1 =
+  let rdy =
     match nxe.cfg.tracer with
     | Some _ when !blocked_for_slot -> M.last_ready_wait m
     | _ -> (0.0, 0.0)
@@ -992,112 +1370,158 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       follower_sync_body ~on_signal nxe chan ~variant sc
     end
   end
-  else if chan.leader_pos <= pos then begin
-    (* Leader exited; this variant issues an extra syscall. *)
-    F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) sc;
-    fail nxe
-      {
-        al_channel = chan.ch_id;
-        al_position = pos;
-        al_variant = variant;
-        al_expected = "<exit>";
-        al_got = sc.Sc.name;
-        al_expected_sc = None;
-        al_got_sc = Some sc;
-      }
-  end
-  else begin
-    let exp_sc = chan.sl_sc.(pos) in
-    F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) sc;
-    if not (Sc.args_match exp_sc sc) then
-      fail nxe
-        {
-          al_channel = chan.ch_id;
-          al_position = pos;
-          al_variant = variant;
-          al_expected = Format.asprintf "%a" Sc.pp exp_sc;
-          al_got = Format.asprintf "%a" Sc.pp sc;
-          al_expected_sc = Some exp_sc;
-          al_got_sc = Some sc;
-        }
-    else begin
-      chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
-      (* Arrival time is when the follower reached the sync point (before
-         any blocking), so straggler attribution reflects who was late. *)
-      if wait_from < chan.sl_first.(pos) then chan.sl_first.(pos) <- wait_from;
-      if wait_from >= chan.sl_last.(pos) then begin
-        chan.sl_last.(pos) <- wait_from;
-        chan.sl_lastv.(pos) <- variant
-      end;
+  else if follower_agrees nxe chan ~variant ~pos ~now:(M.now m) sc then begin
+    stamp_arrival chan ~pos ~variant wait_from;
+    (match nxe.cfg.tracer with
+     | Some tc when chan.sl_span.(pos) >= 0 ->
+       (* Arrival edge: rendezvous open -> this variant reached the sync
+          point (the straggler edge of the profiler, as a span).  A
+          variant arriving before the root opened cannot be the
+          straggler; record_child drops its inverted interval. *)
+       ignore
+         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node:0 ~variant
+            ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
+       record_sched_wait nxe tc chan pos ~variant rdy
+     | _ -> ());
+    (match nxe.tel with
+     | Some tel ->
+       Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
+         ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe" "lockstep:arrive"
+     | None -> ());
+    M.Waitq.signal m chan.leader_q;
+    let blocked = ref false in
+    let ready_from = M.now m in
+    while (not (aborted nxe)) && not chan.sl_ready.(pos) do
+      blocked := true;
+      nxe_wait nxe ~variant chan.fol_q.(i)
+    done;
+    if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
+    if not (aborted nxe) then begin
       (match nxe.cfg.tracer with
-       | Some tc when chan.sl_span.(pos) >= 0 ->
-         (* Arrival edge: rendezvous open -> this variant reached the sync
-            point (the straggler edge of the profiler, as a span).  A
-            variant arriving before the root opened cannot be the
-            straggler; record_child drops its inverted interval. *)
-         ignore
-           (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos)
-              ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos
-              ~t0:neg_infinity ~t1:wait_from);
-         if rdy1 > rdy0 then
-           ignore
-             (Tx.record_child tc Tx.Sched_wait ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:rdy0
-                ~t1:rdy1)
+       | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
+         trace_sched_wait nxe tc chan pos ~variant
        | _ -> ());
-      (match nxe.tel with
-       | Some tel ->
-         Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-           ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe" "lockstep:arrive"
-       | None -> ());
-      M.Waitq.signal m chan.leader_q;
-      let blocked = ref false in
-      let ready_from = M.now m in
-      while (not (aborted nxe)) && not chan.sl_ready.(pos) do
-        blocked := true;
-        nxe_wait nxe ~variant chan.fol_q.(i)
-      done;
-      if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
-      if not (aborted nxe) then begin
-        let fetch_t0 = M.now m in
-        (match nxe.cfg.tracer with
-         | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
-           trace_sched_wait nxe tc chan pos ~variant
-         | _ -> ());
-        fetch_compute nxe ~blocked:!blocked;
-        chan.cursors.(i) <- pos + 1;
-        touch nxe variant;
-        (match nxe.cfg.tracer with
-         | Some tc when chan.sl_span.(pos) >= 0 ->
-           ignore
-             (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0
-                ~t1:(M.now m));
-           (* The last consume retires the slot and closes the root. *)
-           if slot_retired nxe chan pos then
-             Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
-         | _ -> ());
-        M.Waitq.signal m chan.leader_q
-      end
+      consume nxe chan ~variant ~pos ~blocked:!blocked;
+      M.Waitq.signal m chan.leader_q
     end
   end
 
+(* A follower on another node sees a slot only once its node's delivery
+   watermark covers it; a lockstep slot's arrival is an ack over the up
+   link and its release an explicit message; batched slots arrive
+   pre-released. *)
+let remote_follower_sync nxe r chan ~variant sc =
+  let node = nxe.place.(variant) in
+  let m = nxe.machines.(node) in
+  let i = variant - 1 in
+  let pos = chan.cursors.(i) in
+  let drained () = chan.leader_done && chan.rp_len.(node) >= chan.leader_pos in
+  let blocked_for_slot = ref false in
+  let wait_from = M.now m in
+  while (not (aborted nxe)) && chan.rp_len.(node) <= pos && not (drained ()) do
+    (* Sending the flow ack costs CPU, and a delivery can land during that
+       compute — so re-check the wait condition before actually parking,
+       or the wakeup is lost. *)
+    if chan.cursors.(i) > chan.last_ack.(i) then send_flow nxe r chan ~variant
+    else begin
+      blocked_for_slot := true;
+      nxe_wait nxe ~variant chan.fol_q.(i)
+    end
+  done;
+  if !blocked_for_slot then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
+  (* As in the local path: read the ready-wait stamps before any compute. *)
+  let rdy =
+    match nxe.cfg.tracer with
+    | Some _ when !blocked_for_slot -> M.last_ready_wait m
+    | _ -> (0.0, 0.0)
+  in
+  if !blocked_for_slot && not (aborted nxe) then
+    ph_compute m Pr.Phase.Resched nxe.cfg.resched_cost;
+  (* Past the wait the slot is visible here, or the whole stream was
+     delivered and the leader exited: [follower_agrees] sees the same
+     stream end a local follower would. *)
+  if aborted nxe || not (follower_agrees nxe chan ~variant ~pos ~now:(M.now m) sc) then ()
+  else if rendezvous nxe chan.sl_sc.(pos) then begin
+    (* Remote check: the ack carries this node's verdict (and its
+       current cursor, for free) back to the leader.  The Arrival span
+       opens at the rendezvous root and closes when the ack lands on
+       node 0 — so a remote straggler's lateness INCLUDES its wire
+       time, with the ack's Net_msg nested inside it; the largest-edge
+       rule then separates "variant slow" from "wire slow". *)
+    let arr =
+      match nxe.cfg.tracer with
+      | Some tc when chan.sl_span.(pos) >= 0 ->
+        record_sched_wait nxe tc chan pos ~variant rdy;
+        Tx.start tc Tx.Arrival ~trace:chan.sl_trace.(pos) ~parent:chan.sl_span.(pos) ~node
+          ~variant ~chan:chan.ch_id ~pos
+          ~t0:(Tx.span_t0 tc chan.sl_span.(pos))
+      | _ -> -1
+    in
+    M.compute m r.w.msg_cost;
+    let cursor_now = chan.cursors.(i) in
+    r.t_ack <- r.t_ack + ack_bytes;
+    Net.send_traced r.net r.up.(node - 1) ~bytes:ack_bytes ~span:arr ~node:0 (fun () ->
+        let t0 = M.now nxe.machines.(0) in
+        stamp_arrival chan ~pos ~variant t0;
+        if chan.sl_ship.(pos) > 0.0 then Net.observe_rtt r.net (t0 -. chan.sl_ship.(pos));
+        if cursor_now > chan.kn.(i) then chan.kn.(i) <- cursor_now;
+        r.remote_checked <- r.remote_checked + 1;
+        (match nxe.cfg.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
+        M.Waitq.broadcast nxe.machines.(0) chan.leader_q);
+    let blocked = ref false in
+    let ready_from = M.now m in
+    while (not (aborted nxe)) && chan.rp_released.(node) <= pos do
+      blocked := true;
+      nxe_wait nxe ~variant chan.fol_q.(i)
+    done;
+    if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
+    if not (aborted nxe) then begin
+      (match nxe.cfg.tracer with
+       | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
+         trace_sched_wait nxe tc chan pos ~variant
+       | _ -> ());
+      consume nxe chan ~variant ~pos ~blocked:!blocked;
+      maybe_flow nxe r chan ~variant
+    end
+  end
+  else begin
+    (* Batched slot: delivered pre-released.  With replication on, a
+       read result is served from this node's replica of the leader
+       stream — no payload crossed the wire for it. *)
+    if chan.sl_sc.(pos).Sc.klass = Sc.Io_read && r.w.ship = Selective_replicated then
+      r.replicated <- r.replicated + 1;
+    (match nxe.cfg.tracer with
+     | Some tc when chan.sl_span.(pos) >= 0 ->
+       ignore
+         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node ~variant
+            ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
+       record_sched_wait nxe tc chan pos ~variant rdy
+     | _ -> ());
+    consume nxe chan ~variant ~pos ~blocked:false;
+    maybe_flow nxe r chan ~variant
+  end
+
+let follower_sync_at ?on_signal nxe chan ~variant sc =
+  match nxe.remote with
+  | Some r when nxe.place.(variant) <> 0 -> remote_follower_sync nxe r chan ~variant sc
+  | _ -> follower_sync_body ?on_signal nxe chan ~variant sc
+
 let follower_sync ?on_signal nxe chan ~variant sc =
   match nxe.tel with
-  | None -> follower_sync_body ?on_signal nxe chan ~variant sc
+  | None -> follower_sync_at ?on_signal nxe chan ~variant sc
   | Some tel ->
-    let m = nxe.machine in
+    let m = machine_of nxe variant in
     let tid = lane nxe chan ~variant in
     Tel.Counter.incr tel.t_fetch;
     Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
       "fetch";
-    follower_sync_body ?on_signal nxe chan ~variant sc;
+    follower_sync_at ?on_signal nxe chan ~variant sc;
     Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "fetch"
 
 (* Shared-memory propagation: like follower_sync, but the slot carries
    content to adopt rather than arguments to compare. *)
 let follower_shared_fetch nxe chan ~variant ~pos dst =
-  let m = nxe.machine in
+  let m = nxe.machines.(0) in
   let i = variant - 1 in
   let blocked = ref false in
   let wait_from = M.now m in
@@ -1108,39 +1532,18 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
   if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
   if aborted nxe then ()
   else if chan.leader_pos <= pos then
-    fail nxe
-      {
-        al_channel = chan.ch_id;
-        al_position = pos;
-        al_variant = variant;
-        al_expected = "<exit>";
-        al_got = "shared-memory access";
-        al_expected_sc = None;
-        al_got_sc = None;
-      }
+    fail_at nxe chan ~pos ~variant ~expected:"<exit>" ~got:"shared-memory access" ()
   else begin
     let exp_sc = chan.sl_sc.(pos) in
     F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) exp_sc;
     (match exp_sc.Sc.args with
      | [ _; content ] -> dst := content
      | _ ->
-       fail nxe
-         {
-           al_channel = chan.ch_id;
-           al_position = pos;
-           al_variant = variant;
-           al_expected = Format.asprintf "%a" Sc.pp exp_sc;
-           al_got = "shared-memory access";
-           al_expected_sc = Some exp_sc;
-           al_got_sc = None;
-         });
+       fail_at nxe chan ~pos ~variant
+         ~expected:(Format.asprintf "%a" Sc.pp exp_sc)
+         ~got:"shared-memory access" ~expected_sc:exp_sc ());
     if not (aborted nxe) then begin
-      chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
-      if wait_from < chan.sl_first.(pos) then chan.sl_first.(pos) <- wait_from;
-      if wait_from >= chan.sl_last.(pos) then begin
-        chan.sl_last.(pos) <- wait_from;
-        chan.sl_lastv.(pos) <- variant
-      end;
+      stamp_arrival chan ~pos ~variant wait_from;
       M.Waitq.signal m chan.leader_q;
       let blocked2 = ref !blocked in
       let ready_from = M.now m in
@@ -1151,19 +1554,17 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
       if M.now m > ready_from then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
       if not (aborted nxe) then begin
         let fetch_t0 = M.now m in
-        fetch_compute nxe ~blocked:!blocked2;
+        fetch_compute nxe ~variant ~blocked:!blocked2;
         chan.cursors.(i) <- pos + 1;
         touch nxe variant;
         (match nxe.cfg.tracer with
          | Some tc when chan.sl_span.(pos) >= 0 ->
            ignore
-             (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos
-                ~t0:neg_infinity ~t1:wait_from);
+             (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node:0 ~variant
+                ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
            ignore
-             (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0
-                ~t1:(M.now m));
+             (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:0 ~variant
+                ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
            if slot_retired nxe chan pos then
              Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
          | _ -> ());
@@ -1174,11 +1575,13 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
 
 (* ------------------------------------------------------------------ *)
 (* Weak determinism: replay the leader's total order of locking-primitive
-   operations (the synccall protocol of §4.2). *)
+   operations (the synccall protocol of §4.2).  The order list streams to
+   remote nodes with the batches (its own messages in naive mode). *)
 
 let det_order_op nxe det ~variant ~chan =
   if nxe.cfg.weak_determinism then begin
-    let m = nxe.machine in
+    let node = nxe.place.(variant) in
+    let m = nxe.machines.(node) in
     (* The logical-thread id is the interned channel id: paths are unique
        per channel, so the int comparison below is exactly the old string
        comparison. *)
@@ -1186,16 +1589,23 @@ let det_order_op nxe det ~variant ~chan =
     ph_compute m Pr.Phase.Synccall nxe.cfg.synccall_cost;
     if variant = 0 then begin
       Vec.push det.d_order ltid;
+      det.rd_len.(0) <- Vec.length det.d_order;
       nxe.order_len <- nxe.order_len + 1;
       touch nxe 0;
-      M.Waitq.broadcast_many m det.d_qs
+      wake_all nxe det.d_qs;
+      match nxe.remote with
+      | Some r ->
+        for k = 1 to Array.length nxe.machines - 1 do
+          if node_active nxe k then append_order nxe r k det ~hi:(Vec.length det.d_order)
+        done
+      | None -> ()
     end
     else begin
       let i = variant - 1 in
       while
         (not (aborted nxe))
         && not
-             (det.d_cursors.(i) < Vec.length det.d_order
+             (det.d_cursors.(i) < det.rd_len.(node)
              && Vec.get det.d_order det.d_cursors.(i) = ltid)
       do
         nxe_wait nxe ~variant det.d_qs.(i)
@@ -1222,7 +1632,7 @@ let det_order_op nxe det ~variant ~chan =
    problem, solved at sync points). *)
 
 let rec run_handler nxe ~variant ~chan ops =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   List.iter
     (fun op ->
       match op with
@@ -1240,7 +1650,7 @@ and deliver_due_signals nxe ~chan =
   match nxe.pending_signals with
   | [] -> ()
   | (t, idx) :: rest ->
-    if chan.ch_id = 0 && t <= M.now nxe.machine then begin
+    if chan.ch_id = 0 && t <= M.now nxe.machines.(0) then begin
       nxe.pending_signals <- rest;
       leader_sync nxe chan (Sc.with_args sc_signal_delivery [ Int64.of_int idx ]);
       if idx < Array.length nxe.signal_handlers then
@@ -1264,7 +1674,7 @@ and do_sys nxe ~variant ~chan sc =
 (* Thread executor *)
 
 let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   let in_main = ref in_main_init in
   let spawn_count = ref 0 in
   let fork_count = ref 0 in
@@ -1366,11 +1776,14 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
   touch nxe variant;
   if variant = 0 then begin
     chan.leader_done <- true;
-    wake_followers nxe chan
+    (* Whatever is still batched must reach the remote nodes, or their
+       followers would wait forever on a watermark no one will advance. *)
+    (match nxe.remote with Some r -> flush_all nxe r | None -> ());
+    wake_all nxe chan.fol_q
   end
   else begin
     chan.fol_done.(variant - 1) <- true;
-    M.Waitq.signal m chan.leader_q
+    M.Waitq.signal nxe.machines.(0) chan.leader_q
   end;
   (* Clamped: a quarantine zeroes the count while cancelled fibers never
      run this epilogue, but the Die victim's own fiber does. *)
@@ -1384,71 +1797,180 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
     | _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Co-simulation of several nodes: settle every machine (dispatch runnable
+   fibers until none makes progress), then step whichever machine holds
+   the globally earliest pending event, ties broken by node index — a
+   total deterministic order, so one seed gives one bit-stable schedule.
+   A single node is simply [M.run]. *)
+
+let run_nodes ms =
+  let nm = Array.length ms in
+  if nm = 1 then M.run ms.(0)
+  else begin
+    let settle () =
+      let progressed = ref true in
+      while !progressed do
+        progressed := false;
+        for k = 0 to nm - 1 do
+          if M.dispatch_runnable ms.(k) then progressed := true
+        done
+      done
+    in
+    let unfinished () = Array.fold_left (fun s m -> s + M.unfinished_nondaemon m) 0 ms in
+    let continue_ = ref true in
+    while !continue_ do
+      settle ();
+      if unfinished () = 0 then continue_ := false
+      else begin
+        let best = ref (-1) in
+        let bt = ref infinity in
+        for k = 0 to nm - 1 do
+          let t = M.next_event_time ms.(k) in
+          if t < !bt then begin
+            bt := t;
+            best := k
+          end
+        done;
+        if !best < 0 then
+          raise
+            (M.Deadlock
+               ("cluster: "
+               ^ String.concat "; " (List.map M.stuck_description (Array.to_list ms))))
+        else M.step_event ms.(!best)
+      end
+    done
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_sets
-    ?sensitivities ?(signals = []) ?(faults = Faults.none) ?coverage ?profile ~names traces =
+(* The single validation site, for local and placed runs alike; returns
+   the variant -> node placement.  The features a placed run lacks are
+   rejected here (see cluster.mli for why); the rest of the engine
+   assumes they never reach it. *)
+let validate ?wire ~config ?working_sets ?sensitivities ~signals ~faults ?coverage ?profile
+    ~names traces =
+  let who = match wire with None -> "Nxe.run_traces" | Some _ -> "Cluster.run_traces" in
+  let bad msg = invalid_arg (who ^ ": " ^ msg) in
   let n = List.length traces in
-  if n < 1 then invalid_arg "Nxe.run_traces: need at least one variant";
-  if List.length names <> n then invalid_arg "Nxe.run_traces: names/traces length mismatch";
+  if n < 1 then bad "need at least one variant";
+  if List.length names <> n then bad "names/traces length mismatch";
   (match profile with
-   | Some c when Pr.Collector.variants c <> n ->
-     invalid_arg "Nxe.run_traces: profile collector variant count mismatch"
+   | Some c when Pr.Collector.variants c <> n -> bad "profile collector variant count mismatch"
    | _ -> ());
   let pol = config.fault_policy in
   if Float.is_nan pol.heartbeat_timeout || pol.heartbeat_timeout <= 0.0 then
-    invalid_arg "Nxe.run_traces: heartbeat_timeout must be positive (infinity = off)";
+    bad "heartbeat_timeout must be positive (infinity = off)";
   if pol.restart_backoff < 0.0 || not (Float.is_finite pol.restart_backoff) then
-    invalid_arg "Nxe.run_traces: restart_backoff must be non-negative and finite";
+    bad "restart_backoff must be non-negative and finite";
   List.iter
     (fun (inj : Faults.injection) ->
       if inj.Faults.i_variant < 0 || inj.Faults.i_variant >= n then
-        invalid_arg "Nxe.run_traces: fault injection victim out of range";
-      if inj.Faults.i_at < 0 then
-        invalid_arg "Nxe.run_traces: fault injection position must be >= 0")
+        bad "fault injection victim out of range";
+      if inj.Faults.i_at < 0 then bad "fault injection position must be >= 0")
     faults.Faults.p_injections;
-  (match coverage with
-   | Some cov when List.length cov <> n ->
-     invalid_arg "Nxe.run_traces: coverage length mismatch"
-   | _ -> ());
-  List.iter
-    (fun (label, c) ->
-      if c < 0.0 || not (Float.is_finite c) then
-        invalid_arg (Printf.sprintf "Nxe.run_traces: %s must be non-negative" label))
-    [
-      ("checkin_cost", config.checkin_cost);
-      ("fetch_cost", config.fetch_cost);
-      ("synccall_cost", config.synccall_cost);
-      ("resched_cost", config.resched_cost);
-    ];
-  if config.recorder_depth < 1 then
-    invalid_arg "Nxe.run_traces: recorder_depth must be >= 1";
+  let length_matches what = function
+    | Some l when List.length l <> n -> bad (what ^ " length mismatch")
+    | _ -> ()
+  in
+  length_matches "coverage" coverage;
+  length_matches "working_sets" working_sets;
+  length_matches "sensitivities" sensitivities;
+  let cost label c =
+    if c < 0.0 || not (Float.is_finite c) then bad (label ^ " must be non-negative")
+  in
+  cost "checkin_cost" config.checkin_cost;
+  cost "fetch_cost" config.fetch_cost;
+  cost "synccall_cost" config.synccall_cost;
+  cost "resched_cost" config.resched_cost;
+  if config.recorder_depth < 1 then bad "recorder_depth must be >= 1";
   (* Capacity 0 would demand a slot be consumed before its publish returns,
      but followers only consume released slots — a guaranteed deadlock in
      selective mode, so reject it loudly instead.  Capacity 1 is the
      tightest legal ring: one unconsumed slot in flight (see the .mli). *)
-  if config.ring_capacity < 1 then
-    invalid_arg "Nxe.run_traces: ring_capacity must be >= 1";
-  let working_sets =
-    match working_sets with
-    | Some ws ->
-      if List.length ws <> n then invalid_arg "Nxe.run_traces: working_sets length mismatch";
-      Array.of_list ws
-    | None -> Array.make n 1.0
+  if config.ring_capacity < 1 then bad "ring_capacity must be >= 1";
+  match wire with
+  | None -> Array.make n 0
+  | Some w ->
+    cost "msg_cost" w.msg_cost;
+    if w.nodes < 1 then bad "nodes must be >= 1";
+    if w.batch_slots < 1 then bad "batch_slots must be >= 1";
+    if w.ack_every < 1 || w.ack_every > config.ring_capacity then
+      bad "ack_every must be in [1, ring_capacity]";
+    if pol.policy = Restart_once then bad "Restart_once is not supported on clusters";
+    if signals <> [] then bad "signals are a single-host feature";
+    let rec check ops =
+      List.iter
+        (function
+          | Trace.Fork _ -> bad "Fork is a single-host feature"
+          | Trace.Shared_read _ -> bad "Shared_read is a single-host feature"
+          | Trace.Spawn sub -> check sub
+          | _ -> ())
+        ops
+    in
+    List.iter check traces;
+    let place =
+      match w.placement with
+      | Round_robin -> Array.init n (fun v -> v mod w.nodes)
+      | Pinned l ->
+        if List.length l <> n then bad "placement length mismatch";
+        Array.of_list l
+    in
+    Array.iter (fun k -> if k < 0 || k >= w.nodes then bad "placement node out of range") place;
+    if place.(0) <> 0 then bad "the leader (variant 0) must be on node 0";
+    place
+
+let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~signals
+    ~faults ?coverage ?profile ~names traces =
+  let place =
+    validate ?wire ~config ?working_sets ?sensitivities ~signals ~faults ?coverage ?profile
+      ~names traces
   in
-  let sensitivities =
-    match sensitivities with
-    | Some ss ->
-      if List.length ss <> n then invalid_arg "Nxe.run_traces: sensitivities length mismatch";
-      Array.of_list ss
-    | None -> Array.make n 1.0
+  let n = List.length traces in
+  let per_variant = function Some l -> Array.of_list l | None -> Array.make n 1.0 in
+  let working_sets = per_variant working_sets in
+  let sensitivities = per_variant sensitivities in
+  let nodes = match wire with Some w -> w.nodes | None -> 1 in
+  let machines =
+    Array.init nodes (fun _ ->
+        match machine_config with
+        | Some c -> M.create ~config:c ?telemetry:config.telemetry ()
+        | None -> M.create ?telemetry:config.telemetry ())
   in
-  let machine =
-    match machine_config with
-    | Some c -> M.create ~config:c ?telemetry:config.telemetry ()
-    | None -> M.create ?telemetry:config.telemetry ()
+  (match on_machine with Some hook -> hook machines.(0) | None -> ());
+  let remote =
+    match wire with
+    | None -> None
+    | Some w ->
+      let net =
+        Net.create ~seed:w.net_seed ?telemetry:config.telemetry ?tracer:config.tracer ()
+      in
+      let links src dst name =
+        Array.init (nodes - 1) (fun j ->
+            Net.link net ~params:w.link ~src:(src j) ~dst:(dst j) (name (j + 1)))
+      in
+      let node0 _ = machines.(0) and node j = machines.(j + 1) in
+      let down = links node0 node (Printf.sprintf "n0-n%d") in
+      let up = links node node0 (Printf.sprintf "n%d-n0") in
+      Some
+        {
+          w;
+          net;
+          down;
+          up;
+          outboxes =
+            Array.init (nodes - 1) (fun _ ->
+                { ob_items = []; ob_slots = 0; ob_bytes = 0; ob_span = -1 });
+          remote_checked = 0;
+          replicated = 0;
+          t_ship = 0;
+          t_batch = 0;
+          t_release = 0;
+          t_ack = 0;
+          t_flow = 0;
+          t_order = 0;
+        }
   in
-  (match on_machine with Some hook -> hook machine | None -> ());
   let tel =
     Option.map
       (fun sink ->
@@ -1492,7 +2014,9 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
     {
       cfg = config;
       n;
-      machine;
+      machines;
+      place;
+      remote;
       tel;
       h_gap;
       h_wait;
@@ -1545,17 +2069,20 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
   let has_marker trace =
     List.exists (function Trace.Marker Trace.Main_entered -> true | _ -> false) trace
   in
-  List.iteri
-    (fun variant trace ->
-      let proc = get_proc nxe "root" variant in
-      let pth = get_pth nxe "root" variant in
-      nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
-      ignore
-        (M.spawn machine proc
-           ~name:(Printf.sprintf "%s:main" nxe.names.(variant))
-           (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
-              ~in_main_init:(not (has_marker trace)) trace)))
-    traces;
+  let spawn_main variant ~suffix =
+    let proc = get_proc nxe "root" variant in
+    let pth = get_pth nxe "root" variant in
+    let trace = nxe.traces_arr.(variant) in
+    ignore
+      (M.spawn (machine_of nxe variant) proc
+         ~name:(Printf.sprintf "%s:main%s" nxe.names.(variant) suffix)
+         (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
+            ~in_main_init:(not (has_marker trace)) trace))
+  in
+  for variant = 0 to n - 1 do
+    nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
+    spawn_main variant ~suffix:""
+  done;
   nxe.restart_hook <-
     (fun variant ->
       if (not (aborted nxe)) && nxe.v_quarantined.(variant) then begin
@@ -1588,37 +2115,32 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
            Tel.Counter.incr tel.t_restarts;
            Tel.instant tel.t_dom
              ~args:[ ("variant", string_of_int variant) ]
-             ~ts:(M.now machine) ~cat:"nxe" "restart"
+             ~ts:(M.now machines.(0)) ~cat:"nxe" "restart"
          | None -> ());
-        let proc = get_proc nxe "root" variant in
-        let pth = get_pth nxe "root" variant in
-        let trace = nxe.traces_arr.(variant) in
-        ignore
-          (M.spawn machine proc
-             ~name:(Printf.sprintf "%s:main:restart" nxe.names.(variant))
-             (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
-                ~in_main_init:(not (has_marker trace)) trace));
+        spawn_main variant ~suffix:":restart";
         broadcast_all nxe
       end);
-  (* Heartbeat watchdog: a daemon monitor fiber with zero working set and
-     zero compute, so attaching it never perturbs the group's schedule.  A
-     variant is declared hung when it has unfinished threads, at least one
-     of them is NOT parked at an NXE sync point (parked = waiting on peers,
-     which is the engine's fault, not the variant's), and it has made no
-     engine interaction for a full timeout.  The timeout must therefore
-     exceed the longest legitimate syscall-free stretch of the workload. *)
+  (* Heartbeat watchdog: a daemon monitor fiber on node 0 with zero working
+     set and zero compute, so attaching it never perturbs the group's
+     schedule.  A variant is declared hung when it has unfinished threads,
+     at least one of them is NOT parked at an NXE sync point (parked =
+     waiting on peers, which is the engine's fault, not the variant's),
+     and it has made no engine interaction for a full timeout.  The timeout
+     must therefore exceed the longest legitimate syscall-free stretch of
+     the workload. *)
   let hb = config.fault_policy.heartbeat_timeout in
   if Float.is_finite hb then begin
     let mon = monitor_proc nxe in
+    let m0 = machines.(0) in
     ignore
-      (M.spawn machine ~daemon:true mon ~name:"nxe-monitor:watchdog" (fun () ->
+      (M.spawn m0 ~daemon:true mon ~name:"nxe-monitor:watchdog" (fun () ->
            let interval = hb /. 2.0 in
            while
              (not (aborted nxe)) && Array.exists (fun c -> c > 0) nxe.live_threads
            do
-             M.sleep machine interval;
+             M.sleep m0 interval;
              if not (aborted nxe) then begin
-               let now = M.now machine in
+               let now = M.now m0 in
                for v = 0 to n - 1 do
                  if
                    nxe.live_threads.(v) > 0
@@ -1634,25 +2156,24 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
              end
            done))
   end;
-  (match M.run machine with
+  (match run_nodes machines with
    | () -> ()
    | exception M.Deadlock msg ->
      (* After an abort, threads stuck on application locks are "killed" by
         the monitor; any other deadlock is a real bug. *)
      if not (aborted nxe) then raise (M.Deadlock msg));
-  let variant_finish =
+  let per_variant_procs f init =
     List.init n (fun v ->
         Hashtbl.fold
-          (fun (_, v') proc acc ->
-            if v' = v then Float.max acc (M.proc_finish_time machine proc) else acc)
-          nxe.proc_reg 0.0)
+          (fun (_, v') proc acc -> if v' = v then f acc (machine_of nxe v) proc else acc)
+          nxe.proc_reg init)
   in
-  let variant_cpu =
-    List.init n (fun v ->
-        Hashtbl.fold
-          (fun (_, v') proc acc ->
-            if v' = v then acc +. M.proc_cpu_time machine proc else acc)
-          nxe.proc_reg 0.0)
+  let variant_finish =
+    per_variant_procs (fun acc m proc -> Float.max acc (M.proc_finish_time m proc)) 0.0
+  in
+  let variant_cpu = per_variant_procs (fun acc m proc -> acc +. M.proc_cpu_time m proc) 0.0 in
+  let total_time =
+    Array.fold_left (fun acc m -> Float.max acc (M.stats m).M.total_time) 0.0 machines
   in
   (* Fill the attribution collector: per-variant phase-bucket sums over
      every process of the variant (the monitor lives in its own proc and
@@ -1666,15 +2187,16 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
        Hashtbl.iter
          (fun (_, v') proc ->
            if v' = v then begin
-             let pp = M.proc_phases machine proc in
+             let m = machine_of nxe v in
+             let pp = M.proc_phases m proc in
              Array.iteri (fun i x -> phases.(i) <- phases.(i) +. x) pp;
-             thread_time := !thread_time +. M.proc_accounted_time machine proc
+             thread_time := !thread_time +. M.proc_accounted_time m proc
            end)
          nxe.proc_reg;
        Pr.Collector.fill_variant c ~variant:v ~name:nxe.names.(v) ~wall:vf.(v)
          ~thread_time:!thread_time ~cpu:vc.(v) phases
      done;
-     Pr.Collector.fill_run c ~total_time:(M.stats machine).M.total_time
+     Pr.Collector.fill_run c ~total_time
    | None -> ());
   (* Blame attribution: at an abort, every variant's flight recorder (plus
      the slot stream, for entries the bounded tapes already evicted) yields
@@ -1698,51 +2220,75 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
      every variant carrying it is quarantined — the surviving N-1 variants'
      union no longer contains it.  Recovered variants count as carrying. *)
   let coverage_loss =
+    let labels cov quarantined =
+      List.concat (List.filteri (fun v _ -> nxe.v_quarantined.(v) = quarantined) cov)
+    in
     match coverage with
     | None -> []
     | Some cov ->
-      let live_labels =
-        List.sort_uniq compare
-          (List.concat
-             (List.mapi
-                (fun v labels -> if nxe.v_quarantined.(v) then [] else labels)
-                cov))
-      in
-      List.sort_uniq compare
-        (List.concat
-           (List.mapi
-              (fun v labels ->
-                if nxe.v_quarantined.(v) then
-                  List.filter (fun l -> not (List.mem l live_labels)) labels
-                else [])
-              cov))
+      let live = labels cov false in
+      List.sort_uniq compare (List.filter (fun l -> not (List.mem l live)) (labels cov true))
   in
-  {
-    outcome = (match nxe.failed with None -> `All_finished | Some a -> `Aborted a);
-    incident;
-    total_time = (M.stats machine).M.total_time;
-    variant_finish;
-    variant_cpu;
-    synced_syscalls = nxe.synced;
-    executed_syscalls = nxe.executed;
-    lockstep_syscalls = nxe.locksteps;
-    avg_syscall_gap =
-      (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum /. float_of_int nxe.gap_count);
-    max_syscall_gap = nxe.gap_max;
-    order_list_length = nxe.order_len;
-    det_replays = nxe.replays;
-    channels = nxe.chan_count;
-    variant_status = Array.to_list nxe.v_status;
-    coverage_loss;
-    fault_incidents = List.rev nxe.fault_incidents;
-    histograms =
-      [
-        ("syscall_gap", Tel.Hist.dump nxe.h_gap);
-        ("lockstep_wait_us", Tel.Hist.dump nxe.h_wait);
-        ("heartbeat_wait_us", Tel.Hist.dump nxe.h_heartbeat);
-      ];
-    machine_stats = M.stats machine;
-  }
+  let report =
+    {
+      outcome = (match nxe.failed with None -> `All_finished | Some a -> `Aborted a);
+      incident;
+      total_time;
+      variant_finish;
+      variant_cpu;
+      synced_syscalls = nxe.synced;
+      executed_syscalls = nxe.executed;
+      lockstep_syscalls = nxe.locksteps;
+      avg_syscall_gap =
+        (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum /. float_of_int nxe.gap_count);
+      max_syscall_gap = nxe.gap_max;
+      order_list_length = nxe.order_len;
+      det_replays = nxe.replays;
+      channels = nxe.chan_count;
+      variant_status = Array.to_list nxe.v_status;
+      coverage_loss;
+      fault_incidents = List.rev nxe.fault_incidents;
+      histograms =
+        [
+          ("syscall_gap", Tel.Hist.dump nxe.h_gap);
+          ("lockstep_wait_us", Tel.Hist.dump nxe.h_wait);
+          ("heartbeat_wait_us", Tel.Hist.dump nxe.h_heartbeat);
+        ];
+      machine_stats = M.stats machines.(0);
+    }
+  in
+  (report, nxe)
+
+let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_sets
+    ?sensitivities ?(signals = []) ?(faults = Faults.none) ?coverage ?profile ~names traces =
+  fst
+    (run ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~signals ~faults
+       ?coverage ?profile ~names traces)
+
+let run_placed ~config ~wire ?machine_config ?working_sets ?sensitivities ~faults ?coverage
+    ~names traces =
+  let report, nxe =
+    run ~wire ~config ?machine_config ?working_sets ?sensitivities ~signals:[] ~faults
+      ?coverage ~names traces
+  in
+  let r = Option.get nxe.remote in
+  ( report,
+    {
+      placed = Array.to_list nxe.place;
+      remote_checked = r.remote_checked;
+      replicated_results = r.replicated;
+      traffic =
+        {
+          tf_ship = r.t_ship;
+          tf_batch = r.t_batch;
+          tf_release = r.t_release;
+          tf_ack = r.t_ack;
+          tf_flow = r.t_flow;
+          tf_order = r.t_order;
+        };
+      net = r.net;
+      node_stats = Array.to_list (Array.map M.stats nxe.machines);
+    } )
 
 let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
     ?(jitter = 0.0) ~seed builds =

@@ -23,9 +23,21 @@
     - {b Sanitizer-introduced syscalls}: synchronization starts at
       [Main_entered], stops at [About_to_exit], and memory-management
       syscalls are never compared, so variants hardened differently do not
-      trip false alerts. *)
+      trip false alerts.
+
+    {b One engine for every placement.}  The same engine runs the variants
+    on one machine ({!run_traces}) or placed over several machines joined
+    by a {!Bunshin_net.Net} model ({!run_placed}, the DMON / dMVX
+    architecture).  The local engine is the one-node placement with no
+    links: a placed run that keeps every variant on node 0 reproduces
+    {!run_traces} exactly.  Followers on other nodes see a slot only once
+    its link message is delivered.  {!Bunshin_cluster.Cluster} is the
+    public face of placed runs; [Restart_once], [Fork], [Shared_read] and
+    signals are single-host features, rejected at the one validation site
+    for placed runs (reasons in [cluster.mli]). *)
 
 module M := Bunshin_machine.Machine
+module Net := Bunshin_net.Net
 
 type mode = Strict_lockstep | Selective_lockstep
 
@@ -118,10 +130,6 @@ type config = {
           {!report}, the schedule and the per-sync allocation budget are
           unchanged (pinned by the golden and bench tests).  [None]
           (default) compiles every site to a no-op test. *)
-  trace_node : int;
-      (** node id stamped on locally recorded spans (default 0); the
-          cluster sets it so multi-node trees attribute spans to the
-          machine that produced them *)
 }
 (** All [*_cost] fields are in simulated microseconds — the same unit as
     {!M.config} quanta and every time in {!report}. *)
@@ -279,3 +287,73 @@ val run_builds :
     per-variant multiplicative compute skew of up to the given fraction —
     diversified binaries never run cycle-identical, and this skew is what
     lockstep synchronization actually waits on. *)
+
+(** {1 Placed runs: the same engine over several nodes}
+
+    The engine is one implementation for every placement: the local engine
+    above is the one-node case.  {!Bunshin_cluster.Cluster} is the public
+    face of the multi-node case; it translates its config into a {!config}
+    plus a {!wire} and projects its report from what {!run_placed}
+    returns.  The types below are re-exported there with their
+    constructors. *)
+
+type ship_mode =
+  | Full_remote_lockstep  (** every synchronized syscall rendezvouses (strict) *)
+  | Selective
+      (** the local selective set plus process control and socket ops
+          rendezvous; the rest stream in batches *)
+  | Selective_replicated  (** + read-like results served from the local replica *)
+
+type placement =
+  | Round_robin       (** variant [v] on node [v mod nodes]; leader on node 0 *)
+  | Pinned of int list (** explicit variant -> node map; leader must map to 0 *)
+
+(** The network half of a placed run. *)
+type wire = {
+  nodes : int;
+  placement : placement;
+  ship : ship_mode;
+  link : Net.params;
+  net_seed : int;
+  batch_slots : int;
+  ack_every : int;
+  msg_cost : float;
+}
+
+type traffic = {
+  tf_ship : int;
+  tf_batch : int;
+  tf_release : int;
+  tf_ack : int;
+  tf_flow : int;
+  tf_order : int;
+}
+
+type wire_report = {
+  placed : int list;         (** variant -> node, as placed *)
+  remote_checked : int;      (** lockstep acks received over the wire *)
+  replicated_results : int;  (** read results served from a node's replica *)
+  traffic : traffic;
+  net : Net.t;               (** link stats, byte totals and [net_rtt_us] *)
+  node_stats : M.stats list; (** per node *)
+}
+
+val run_placed :
+  config:config ->
+  wire:wire ->
+  ?machine_config:M.config ->
+  ?working_sets:float list ->
+  ?sensitivities:float list ->
+  faults:Bunshin_faults.Faults.plan ->
+  ?coverage:string list list ->
+  names:string list ->
+  Bunshin_program.Trace.t list ->
+  report * wire_report
+(** {!run_traces} with the variants placed over [wire.nodes] machines.  A
+    ship mode widens the rendezvous set of [config.mode] (see
+    {!ship_mode}); [report.total_time] is the latest finish over all
+    nodes and [report.machine_stats] is node 0's.  Features a placed run
+    lacks are rejected at the same validation site as every other invalid
+    input (the reasons are in [cluster.mli]).
+    @raise Invalid_argument as {!run_traces}, and on an invalid [wire],
+    the [Restart_once] policy, or [Fork] / [Shared_read] ops. *)

@@ -286,6 +286,25 @@ let test_remote_stall_quarantine_parity () =
       Alcotest.(check bool) (tag ^ ": no abort incident") true (r.Cluster.incident = None))
     modes
 
+let test_remote_quarantine_counted () =
+  (* The engine's fault telemetry is the same on every placement: a
+     remote quarantine lands on the sink's nxe.quarantines counter. *)
+  let sink = Tel.create () in
+  let config =
+    { (cfg ~nodes:2 ~fault_policy:quarantine_policy ()) with Cluster.telemetry = Some sink }
+  in
+  let r = run ~config ~coverage:coverage3 ~faults:stall_v1 3 (chaos_trace ()) in
+  Alcotest.(check bool) "survivors finished" true (finished r);
+  Alcotest.(check (list int)) "v1 quarantined" [ 1 ]
+    (List.concat
+       (List.mapi
+          (fun v s -> match s with Nxe.Quarantined _ -> [ v ] | _ -> [])
+          r.Cluster.variant_status));
+  Alcotest.(check int) "nxe.quarantines" 1
+    (Tel.Counter.value (Tel.counter sink "nxe.quarantines"));
+  Alcotest.(check int) "nxe.faults_injected" 1
+    (Tel.Counter.value (Tel.counter sink "nxe.faults_injected"))
+
 let test_corrupt_remote_aborts () =
   (* Argument corruption on a remote follower is a divergence, not a
      benign fault — even under Quarantine. *)
@@ -416,12 +435,6 @@ let mutate_kth_syscall ~k ~delta trace =
       | op -> op)
     trace
 
-let verdict r =
-  match r.Cluster.outcome with
-  | `All_finished -> None
-  | `Aborted a ->
-    Some (a.Nxe.al_channel, a.Nxe.al_position, a.Nxe.al_variant, a.Nxe.al_expected, a.Nxe.al_got)
-
 let prop_ship_modes_observation_equivalent =
   QCheck.Test.make
     ~name:"cluster: naive, selective and replicated agree on the verdict" ~count:30
@@ -437,14 +450,78 @@ let prop_ship_modes_observation_equivalent =
       let verdicts =
         List.map
           (fun ship ->
-            verdict
-              (Cluster.run_traces ~config:(cfg ~nodes ~ship ()) ~names:(names 2)
-                 [ base; follower ]))
+            (Cluster.run_traces ~config:(cfg ~nodes ~ship ()) ~names:(names 2)
+               [ base; follower ]).Cluster.outcome)
           modes
       in
       match verdicts with
-      | [ a; b; c ] -> a = b && b = c && (mutated = (a <> None))
+      | [ a; b; c ] -> a = b && b = c && (mutated = (a <> `All_finished))
       | _ -> false)
+
+(* Every field a Cluster.report shares with an Nxe.report — floats
+   compared exactly — plus the incident verdicts. *)
+let shared ~outcome ~incident ~floats ~counts ~status ~coverage ~faults ~hists =
+  ( outcome,
+    (Option.map Cluster.incident_signature incident, List.map Cluster.incident_signature faults),
+    floats,
+    counts,
+    (status, coverage, List.assoc "lockstep_wait_us" hists) )
+
+let local_shared (r : Nxe.report) =
+  shared ~outcome:r.outcome ~incident:r.incident
+    ~floats:((r.total_time :: r.variant_finish) @ r.variant_cpu)
+    ~counts:
+      [
+        r.synced_syscalls; r.executed_syscalls; r.lockstep_syscalls; r.order_list_length;
+        r.det_replays; r.channels;
+      ]
+    ~status:r.variant_status ~coverage:r.coverage_loss ~faults:r.fault_incidents
+    ~hists:r.histograms
+
+let cluster_shared (r : Cluster.report) =
+  shared ~outcome:r.outcome ~incident:r.incident
+    ~floats:((r.total_time :: r.variant_finish) @ r.variant_cpu)
+    ~counts:
+      [
+        r.synced_syscalls; r.executed_syscalls; r.lockstep_syscalls; r.order_entries;
+        r.det_replays; r.channels;
+      ]
+    ~status:r.variant_status ~coverage:r.coverage_loss ~faults:r.fault_incidents
+    ~hists:r.histograms
+
+(* The local engine is the one-node placement: a 1-node cluster, and a
+   2-node cluster with every variant pinned to node 0 (the multi-machine
+   loop with an idle node), reproduce the local report in every ship
+   mode — naive as strict lockstep, both selective modes as selective
+   lockstep (the generated traces hold no process or socket syscalls). *)
+let one_node_parity traces =
+  let n = List.length traces in
+  List.for_all
+    (fun ship ->
+      let mode =
+        match ship with
+        | Cluster.Full_remote_lockstep -> Nxe.Strict_lockstep
+        | Selective | Selective_replicated -> Nxe.Selective_lockstep
+      in
+      let local =
+        local_shared
+          (Nxe.run_traces ~config:{ Nxe.default_config with mode } ~names:(names n) traces)
+      in
+      List.for_all
+        (fun config -> cluster_shared (Cluster.run_traces ~config ~names:(names n) traces) = local)
+        [
+          cfg ~nodes:1 ~ship ();
+          cfg ~nodes:2 ~ship ~placement:(Cluster.Pinned (List.init n (fun _ -> 0))) ();
+        ])
+    modes
+
+let spawn_lock_parity =
+  lazy
+    (let worker tag =
+       [ work 20.0; Trace.Lock 0; work 5.0; Trace.Unlock 0; wr ~args:[ 1L; tag ] () ]
+     in
+     let mt = [ Trace.Spawn (worker 10L); Trace.Spawn (worker 20L) ] @ worker 0L in
+     one_node_parity [ mt; mt; mt ])
 
 let prop_cluster_matches_local_engine =
   QCheck.Test.make ~name:"cluster: verdicts match the single-host engine" ~count:20
@@ -452,19 +529,15 @@ let prop_cluster_matches_local_engine =
     (fun (ops, k, clean) ->
       let base = trace_of_ops ops in
       let follower = if clean then base else mutate_kth_syscall ~k ~delta:500L base in
-      let local =
-        match (Nxe.run_traces ~names:(names 2) [ base; follower ]).Nxe.outcome with
-        | `All_finished -> None
-        | `Aborted a ->
-          Some (a.Nxe.al_channel, a.Nxe.al_position, a.Nxe.al_variant, a.Nxe.al_expected, a.Nxe.al_got)
-      in
+      let local = (Nxe.run_traces ~names:(names 2) [ base; follower ]).Nxe.outcome in
       let remote =
-        verdict
-          (Cluster.run_traces
-             ~config:(cfg ~nodes:2 ~ship:Cluster.Selective_replicated ())
-             ~names:(names 2) [ base; follower ])
+        Cluster.run_traces
+          ~config:(cfg ~nodes:2 ~ship:Cluster.Selective_replicated ())
+          ~names:(names 2) [ base; follower ]
       in
-      local = remote)
+      local = remote.Cluster.outcome
+      && one_node_parity [ base; follower ]
+      && Lazy.force spawn_lock_parity)
 
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -497,6 +570,7 @@ let () =
         [
           Alcotest.test_case "remote stall quarantine parity" `Quick
             test_remote_stall_quarantine_parity;
+          Alcotest.test_case "remote quarantine counted" `Quick test_remote_quarantine_counted;
           Alcotest.test_case "remote corrupt aborts" `Quick test_corrupt_remote_aborts;
           Alcotest.test_case "leader fault aborts" `Quick test_leader_fault_aborts_cluster;
         ] );

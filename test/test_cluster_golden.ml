@@ -11,91 +11,44 @@
    Each scenario also runs with a telemetry sink attached (documented as
    pure observation): both reports must render byte-identically.
 
-   Regenerate with:
+   Regenerate with (harness in golden.ml):
      BUNSHIN_REGEN_GOLDEN=test/golden dune exec test/test_cluster_golden.exe *)
 
-module M = Bunshin_machine.Machine
 module Sc = Bunshin_syscall.Syscall
 module Trace = Bunshin_program.Trace
 module Nxe = Bunshin_nxe.Nxe
 module Cluster = Bunshin_cluster.Cluster
 module Net = Bunshin_net.Net
-module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
 module Tel = Bunshin_telemetry.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Canonical report rendering *)
 
-let fl f = Printf.sprintf "%h" f
-
-let sc_str = function
-  | None -> "-"
-  | Some sc -> Format.asprintf "%a" Sc.pp sc
-
 let render (r : Cluster.report) =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  (match r.Cluster.outcome with
-   | `All_finished -> line "outcome: all_finished"
-   | `Aborted a ->
-     line "outcome: aborted chan=%d pos=%d variant=%d" a.Nxe.al_channel a.Nxe.al_position
-       a.Nxe.al_variant;
-     line "  expected: %s" a.Nxe.al_expected;
-     line "  got: %s" a.Nxe.al_got;
-     line "  expected_sc: %s" (sc_str a.Nxe.al_expected_sc);
-     line "  got_sc: %s" (sc_str a.Nxe.al_got_sc));
-  (match r.Cluster.incident with
-   | None -> line "incident: -"
-   | Some inc -> line "incident: %s" (F.to_json inc));
-  line "total_time: %s" (fl r.Cluster.total_time);
-  line "variant_finish: %s" (String.concat " " (List.map fl r.Cluster.variant_finish));
-  line "variant_cpu: %s" (String.concat " " (List.map fl r.Cluster.variant_cpu));
-  line "synced_syscalls: %d" r.Cluster.synced_syscalls;
-  line "executed_syscalls: %d" r.Cluster.executed_syscalls;
-  line "lockstep_syscalls: %d" r.Cluster.lockstep_syscalls;
-  line "remote_checked: %d" r.Cluster.remote_checked;
-  line "replicated_results: %d" r.Cluster.replicated_results;
-  line "order_entries: %d" r.Cluster.order_entries;
-  line "det_replays: %d" r.Cluster.det_replays;
-  line "channels: %d" r.Cluster.channels;
-  line "placement: %s" (String.concat " " (List.map string_of_int r.Cluster.placement));
-  List.iteri
-    (fun v st ->
-      match st with
-      | Nxe.Healthy -> line "variant_status[%d]: healthy" v
-      | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-        line "variant_status[%d]: quarantined t=%s cause=%s restarts=%d" v (fl q_time)
-          (Nxe.cause_string q_cause) q_restarts
-      | Nxe.Recovered { q_time; q_cause; r_time } ->
-        line "variant_status[%d]: recovered q=%s cause=%s r=%s" v (fl q_time)
-          (Nxe.cause_string q_cause) (fl r_time))
-    r.Cluster.variant_status;
-  line "coverage_loss: %s" (String.concat "," r.Cluster.coverage_loss);
-  List.iteri (fun i inc -> line "fault_incident[%d]: %s" i (F.to_json inc))
-    r.Cluster.fault_incidents;
-  line "bytes_on_wire: %d" r.Cluster.bytes_on_wire;
-  line "msgs_on_wire: %d" r.Cluster.msgs_on_wire;
-  let t = r.Cluster.traffic in
-  line "traffic: ship=%d batch=%d release=%d ack=%d flow=%d order=%d"
-    Cluster.(t.tf_ship) Cluster.(t.tf_batch) Cluster.(t.tf_release)
-    Cluster.(t.tf_ack) Cluster.(t.tf_flow) Cluster.(t.tf_order);
+  let line fmt = Golden.line b fmt in
+  Golden.head b ~outcome:r.outcome ~incident:r.incident ~total_time:r.total_time
+    ~finish:r.variant_finish ~cpu:r.variant_cpu ~synced:r.synced_syscalls
+    ~executed:r.executed_syscalls ~lockstep:r.lockstep_syscalls;
+  line "remote_checked: %d" r.remote_checked;
+  line "replicated_results: %d" r.replicated_results;
+  line "order_entries: %d" r.order_entries;
+  line "det_replays: %d" r.det_replays;
+  line "channels: %d" r.channels;
+  line "placement: %s" (String.concat " " (List.map string_of_int r.placement));
+  Golden.verdicts b ~status:r.variant_status ~coverage:r.coverage_loss ~faults:r.fault_incidents;
+  line "bytes_on_wire: %d" r.bytes_on_wire;
+  line "msgs_on_wire: %d" r.msgs_on_wire;
+  let t = r.traffic in
+  line "traffic: ship=%d batch=%d release=%d ack=%d flow=%d order=%d" t.tf_ship t.tf_batch
+    t.tf_release t.tf_ack t.tf_flow t.tf_order;
   List.iter
     (fun (name, (st : Net.stats)) ->
-      line "link %s: msgs=%d bytes=%d retransmits=%d" name st.Net.s_msgs st.Net.s_bytes
-        st.Net.s_retransmits)
-    r.Cluster.link_stats;
-  List.iter
-    (fun (name, cells) ->
-      line "hist %s: %s" name
-        (String.concat " "
-           (List.map (fun (ub, c) -> Printf.sprintf "%s:%d" (fl ub) c) cells)))
-    r.Cluster.histograms;
-  List.iteri
-    (fun i (st : M.stats) ->
-      line "node[%d]: total=%s ctx=%d pressure_peak=%s" i (fl st.M.total_time)
-        st.M.context_switches (fl st.M.cache_pressure_peak))
-    r.Cluster.node_stats;
+      line "link %s: msgs=%d bytes=%d retransmits=%d" name st.s_msgs st.s_bytes st.s_retransmits)
+    r.link_stats;
+  Golden.hists b r.histograms;
+  List.iteri (fun i st -> Golden.machine b (Printf.sprintf "node[%d]" i) st) r.node_stats;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -184,50 +137,11 @@ let scenarios =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let regen_dir = Sys.getenv_opt "BUNSHIN_REGEN_GOLDEN"
-
-let golden_path name =
-  match regen_dir with
-  | Some d -> Filename.concat d (name ^ ".golden")
-  | None -> Filename.concat "golden" (name ^ ".golden")
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 let () =
-  let failures = ref [] in
-  let fail s = failures := s :: !failures in
-  List.iter
-    (fun s ->
-      let base = render (s.s_run ~telemetry:None) in
-      let with_tel = render (s.s_run ~telemetry:(Some (Tel.create ()))) in
-      if with_tel <> base then
-        fail (s.s_name ^ ": telemetry-attached report differs from bare run");
-      (match regen_dir with
-       | Some _ -> write_file (golden_path s.s_name) base
-       | None ->
-         let path = golden_path s.s_name in
-         if not (Sys.file_exists path) then fail (s.s_name ^ ": missing golden " ^ path)
-         else begin
-           let want = read_file path in
-           if want <> base then begin
-             fail (s.s_name ^ ": report drifted from golden");
-             write_file (s.s_name ^ ".fresh") base
-           end
-         end);
-      print_string ("golden " ^ s.s_name ^ ": checked\n"))
-    scenarios;
-  match !failures with
-  | [] -> if regen_dir <> None then print_string "goldens regenerated\n"
-  | fs ->
-    List.iter (fun f -> prerr_endline ("FAIL " ^ f)) fs;
-    exit 1
+  Golden.check
+    (List.map
+       (fun s ->
+         ( s.s_name,
+           render (s.s_run ~telemetry:None),
+           [ ("telemetry", render (s.s_run ~telemetry:(Some (Tel.create ())))) ] ))
+       scenarios)

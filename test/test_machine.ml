@@ -1,6 +1,5 @@
-(* Tests for Bunshin_machine: event heap, fibers, scheduling, cache model. *)
+(* Tests for Bunshin_machine: fibers, scheduling, cache model. *)
 
-module Heap = Bunshin_machine.Event_heap
 module M = Bunshin_machine.Machine
 
 let cfg ?(cores = 4) ?(quantum = 1.0) ?(ctx = 0.0) ?(llc = 1e9) ?(penalty = 0.5) () =
@@ -12,51 +11,6 @@ let cfg ?(cores = 4) ?(quantum = 1.0) ?(ctx = 0.0) ?(llc = 1e9) ?(penalty = 0.5)
     miss_penalty = penalty }
 
 let check_time = Alcotest.(check (float 1e-6))
-
-(* ------------------------------------------------------------------ *)
-(* Event heap *)
-
-let test_heap_order () =
-  let h = Heap.create () in
-  Heap.push h 3.0 "c";
-  Heap.push h 1.0 "a";
-  Heap.push h 2.0 "b";
-  let pop () = match Heap.pop h with Some (_, x) -> x | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "first";
-  Heap.push h 1.0 "second";
-  Heap.push h 1.0 "third";
-  let pop () = match Heap.pop h with Some (_, x) -> x | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "insertion order" [ "first"; "second"; "third" ]
-    [ first; second; third ]
-
-let test_heap_many () =
-  let h = Heap.create () in
-  let rng = Bunshin_util.Rng.create 5 in
-  for i = 0 to 999 do
-    Heap.push h (Bunshin_util.Rng.float rng 100.0) i
-  done;
-  Alcotest.(check int) "size" 1000 (Heap.size h);
-  let last = ref neg_infinity in
-  let sorted = ref true in
-  for _ = 1 to 1000 do
-    match Heap.pop h with
-    | Some (time, _) ->
-      if time < !last then sorted := false;
-      last := time
-    | None -> sorted := false
-  done;
-  Alcotest.(check bool) "monotone" true !sorted
 
 (* ------------------------------------------------------------------ *)
 (* Basic execution *)
@@ -484,12 +438,6 @@ let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 let () =
   Alcotest.run ~and_exit:false "bunshin_machine"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "order" `Quick test_heap_order;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "many" `Quick test_heap_many;
-        ] );
       ( "execution",
         [
           Alcotest.test_case "single thread time" `Quick test_single_thread_time;

@@ -14,17 +14,15 @@
    with a telemetry sink attached: both are documented as pure
    observation, so all three reports must render byte-identically.
 
-   Regenerate with:
+   Regenerate with (harness in golden.ml):
      BUNSHIN_REGEN_GOLDEN=test/golden dune exec test/test_nxe_golden.exe *)
 
-module M = Bunshin_machine.Machine
 module Sc = Bunshin_syscall.Syscall
 module Trace = Bunshin_program.Trace
 module Program = Bunshin_program.Program
 module San = Bunshin_sanitizer.Sanitizer
 module Cost = Bunshin_sanitizer.Cost_model
 module Nxe = Bunshin_nxe.Nxe
-module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
 module Pr = Bunshin_profile.Profile
 module Tel = Bunshin_telemetry.Telemetry
@@ -32,61 +30,20 @@ module Tel = Bunshin_telemetry.Telemetry
 (* ------------------------------------------------------------------ *)
 (* Canonical report rendering *)
 
-let fl f = Printf.sprintf "%h" f (* hex float: bit-exact round trip *)
-
-let sc_str = function
-  | None -> "-"
-  | Some sc -> Format.asprintf "%a" Sc.pp sc
-
 let render (r : Nxe.report) =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  (match r.Nxe.outcome with
-   | `All_finished -> line "outcome: all_finished"
-   | `Aborted a ->
-     line "outcome: aborted chan=%d pos=%d variant=%d" a.Nxe.al_channel a.Nxe.al_position
-       a.Nxe.al_variant;
-     line "  expected: %s" a.Nxe.al_expected;
-     line "  got: %s" a.Nxe.al_got;
-     line "  expected_sc: %s" (sc_str a.Nxe.al_expected_sc);
-     line "  got_sc: %s" (sc_str a.Nxe.al_got_sc));
-  (match r.Nxe.incident with
-   | None -> line "incident: -"
-   | Some inc -> line "incident: %s" (F.to_json inc));
-  line "total_time: %s" (fl r.Nxe.total_time);
-  line "variant_finish: %s" (String.concat " " (List.map fl r.Nxe.variant_finish));
-  line "variant_cpu: %s" (String.concat " " (List.map fl r.Nxe.variant_cpu));
-  line "synced_syscalls: %d" r.Nxe.synced_syscalls;
-  line "executed_syscalls: %d" r.Nxe.executed_syscalls;
-  line "lockstep_syscalls: %d" r.Nxe.lockstep_syscalls;
-  line "avg_syscall_gap: %s" (fl r.Nxe.avg_syscall_gap);
-  line "max_syscall_gap: %d" r.Nxe.max_syscall_gap;
-  line "order_list_length: %d" r.Nxe.order_list_length;
-  line "det_replays: %d" r.Nxe.det_replays;
-  line "channels: %d" r.Nxe.channels;
-  List.iteri
-    (fun v st ->
-      match st with
-      | Nxe.Healthy -> line "variant_status[%d]: healthy" v
-      | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-        line "variant_status[%d]: quarantined t=%s cause=%s restarts=%d" v (fl q_time)
-          (Nxe.cause_string q_cause) q_restarts
-      | Nxe.Recovered { q_time; q_cause; r_time } ->
-        line "variant_status[%d]: recovered q=%s cause=%s r=%s" v (fl q_time)
-          (Nxe.cause_string q_cause) (fl r_time))
-    r.Nxe.variant_status;
-  line "coverage_loss: %s" (String.concat "," r.Nxe.coverage_loss);
-  List.iteri (fun i inc -> line "fault_incident[%d]: %s" i (F.to_json inc))
-    r.Nxe.fault_incidents;
-  List.iter
-    (fun (name, cells) ->
-      line "hist %s: %s" name
-        (String.concat " "
-           (List.map (fun (ub, c) -> Printf.sprintf "%s:%d" (fl ub) c) cells)))
-    r.Nxe.histograms;
-  line "machine: total=%s ctx=%d pressure_peak=%s" (fl r.Nxe.machine_stats.M.total_time)
-    r.Nxe.machine_stats.M.context_switches
-    (fl r.Nxe.machine_stats.M.cache_pressure_peak);
+  let line fmt = Golden.line b fmt and fl = Golden.fl in
+  Golden.head b ~outcome:r.outcome ~incident:r.incident ~total_time:r.total_time
+    ~finish:r.variant_finish ~cpu:r.variant_cpu ~synced:r.synced_syscalls
+    ~executed:r.executed_syscalls ~lockstep:r.lockstep_syscalls;
+  line "avg_syscall_gap: %s" (fl r.avg_syscall_gap);
+  line "max_syscall_gap: %d" r.max_syscall_gap;
+  line "order_list_length: %d" r.order_list_length;
+  line "det_replays: %d" r.det_replays;
+  line "channels: %d" r.channels;
+  Golden.verdicts b ~status:r.variant_status ~coverage:r.coverage_loss ~faults:r.fault_incidents;
+  Golden.hists b r.histograms;
+  Golden.machine b "machine" r.machine_stats;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -262,58 +219,15 @@ let scenarios =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let regen_dir = Sys.getenv_opt "BUNSHIN_REGEN_GOLDEN"
-
-let golden_path name =
-  match regen_dir with
-  | Some d -> Filename.concat d (name ^ ".golden")
-  | None -> Filename.concat "golden" (name ^ ".golden")
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 let () =
-  let failures = ref [] in
-  let fail s = failures := s :: !failures in
-  List.iter
-    (fun s ->
-      let base = render (s.s_run ~profile:None ~telemetry:None) in
-      let with_profile =
-        render (s.s_run ~profile:(Some (Pr.Collector.create s.s_n)) ~telemetry:None)
-      in
-      if with_profile <> base then
-        fail (s.s_name ^ ": profile-attached report differs from bare run");
-      let with_tel =
-        render (s.s_run ~profile:None ~telemetry:(Some (Tel.create ())))
-      in
-      if with_tel <> base then
-        fail (s.s_name ^ ": telemetry-attached report differs from bare run");
-      (match regen_dir with
-       | Some _ -> write_file (golden_path s.s_name) base
-       | None ->
-         let path = golden_path s.s_name in
-         if not (Sys.file_exists path) then fail (s.s_name ^ ": missing golden " ^ path)
-         else begin
-           let want = read_file path in
-           if want <> base then begin
-             fail (s.s_name ^ ": report drifted from golden");
-             (* Leave the fresh rendering in the build dir for diffing. *)
-             write_file (s.s_name ^ ".fresh") base
-           end
-         end);
-      print_string ("golden " ^ s.s_name ^ ": checked\n"))
-    scenarios;
-  match !failures with
-  | [] -> if regen_dir <> None then print_string "goldens regenerated\n"
-  | fs ->
-    List.iter (fun f -> prerr_endline ("FAIL " ^ f)) fs;
-    exit 1
+  Golden.check
+    (List.map
+       (fun s ->
+         let run ?profile ?telemetry () = render (s.s_run ~profile ~telemetry) in
+         ( s.s_name,
+           run (),
+           [
+             ("profile", run ~profile:(Pr.Collector.create s.s_n) ());
+             ("telemetry", run ~telemetry:(Tel.create ()) ());
+           ] ))
+       scenarios)

@@ -214,6 +214,30 @@ let prop_cluster_spans_well_formed =
       && Tx.well_formed tc = Ok ()
       && List.length (Tx.traces tc) = r.Cluster.synced_syscalls)
 
+(* The leader's blocked time at a rendezvous is one span kind with one
+   owner: variant 0, whether the followers are local or across the wire. *)
+let test_leader_lockstep_wait_variant () =
+  let n = 3 in
+  let lockstep_wait_owners run =
+    let tc = Tx.create () in
+    run (Some tc);
+    List.sort_uniq compare
+      (List.filter_map
+         (fun id ->
+           let s = Tx.span tc id in
+           if s.Tx.sp_kind = Tx.Lockstep_wait then Some s.Tx.sp_variant else None)
+         (List.init (Tx.used tc) Fun.id))
+  in
+  let local tracer =
+    ignore (Nxe.run_traces ~config:{ Nxe.default_config with Nxe.tracer } ~names:(names n)
+              (skewed_traces n))
+  and remote tracer =
+    let config = { Cluster.default_config with Cluster.nodes = 3; tracer } in
+    ignore (Cluster.run_traces ~config ~names:(names n) (skewed_traces n))
+  in
+  Alcotest.(check (list int)) "local" [ 0 ] (lockstep_wait_owners local);
+  Alcotest.(check (list int)) "remote" [ 0 ] (lockstep_wait_owners remote)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -235,6 +259,8 @@ let () =
             test_cluster_incident_signature_neutral;
           Alcotest.test_case "cluster straggler matches profiler" `Quick
             test_cluster_straggler_matches_profiler;
+          Alcotest.test_case "leader lockstep wait is variant 0" `Quick
+            test_leader_lockstep_wait_variant;
         ] );
       ("properties", qcheck [ prop_cluster_spans_well_formed ]);
     ]
