@@ -18,24 +18,14 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
-# Bench smoke: the interpreter microbenchmark in quick mode doubles as a
-# fast/reference differential check (it exits non-zero on divergence).
-echo "== bench smoke (interp --quick)"
-dune exec bench/main.exe -- interp --quick
-echo "-- BENCH_interp.json"
-cat BENCH_interp.json
-
-# Perf gates.  The interpreter numbers are wall-clock, so they are gated
-# against the baseline regenerated just above (catches a same-machine
-# regression without tripping on hardware differences).
-echo "== perf gate (bench diff interp --quick)"
-dune exec bench/main.exe -- diff interp --quick
-
 # Committed-baseline gates: `diff SECTION` re-runs the bench section
-# fresh and compares it against the committed BENCH_SECTION.json.
-# Simulated numbers are deterministic and pinned exactly (JSON rounding
-# aside); wall-clock rates get a wide tolerance.  The sections also run
-# their own assertions while measuring:
+# fresh and compares it against the committed BENCH_SECTION.json, so no
+# gate rewrites a tracked file.  Simulated numbers and step counts are
+# deterministic and pinned exactly (JSON rounding aside); wall-clock
+# rates get a wide tolerance.  The sections also run their own
+# assertions while measuring:
+#   interp   fast/reference differential check on every kernel (exits
+#            non-zero on divergence)
 #   profile  overhead attribution (full mode; the others run --quick)
 #   nxe      lockstep sync rate and the per-sync allocation budget
 #   net      cluster wire traffic: >=5x dense byte reduction of
@@ -44,7 +34,7 @@ dune exec bench/main.exe -- diff interp --quick
 #   serve    pool sweep with neutrality re-proved on the saturated point
 # After each gate, the scaled-baseline rerun (an injected 25% regression)
 # must make the gate exit non-zero, proving it can fail.
-for section in profile nxe net slo serve; do
+for section in interp profile nxe net slo serve; do
   if [ "$section" = profile ]; then quick=""; else quick="--quick"; fi
   echo "== perf gate (bench diff $section${quick:+ $quick} vs committed BENCH_$section.json)"
   dune exec bench/main.exe -- diff "$section" $quick || {

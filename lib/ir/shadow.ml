@@ -1,4 +1,7 @@
-let page_bits = 12
+(* 256 slots: a page's [owner] and [values] arrays are then exactly
+   [Max_young_wosize] words, so every page is allocated in the minor heap
+   and a run's shadow costs in proportion to the slots it maps. *)
+let page_bits = 8
 let page_slots = 1 lsl page_bits
 let page_mask = page_slots - 1
 
@@ -13,13 +16,21 @@ type 'a page = {
   init : Bytes.t;
 }
 
+(* The never-mapped page, shared by every instance.  [tags] and [init]
+   are one all-[tag_unmapped] string (tag 0 = unmapped, init 0 = never
+   stored); [owner]/[values] are empty, since no reader gets past the
+   unmapped tag to index them.  Never written: every write is guarded by
+   a tag check. *)
+let unmapped = Bytes.make page_slots tag_unmapped
+let empty = { tags = unmapped; owner = [||]; values = [||]; init = unmapped }
+
+(* 256 entries is the largest minor-heap array and covers addresses up to
+   0x10000, past the ~0x9000 a layout-seeded run starts from. *)
+let initial_pages = 256
+
 type 'a t = {
   fill : 'a;
-  empty : 'a page;
-      (* Shared all-unmapped page returned for never-mapped indices, so
-         [page_of] is total and allocation-free.  Never written to: every
-         write is guarded by a tag check, and its tags stay [tag_unmapped]. *)
-  mutable pages : 'a page option array;
+  mutable pages : 'a page array;  (* [empty] at never-mapped indices *)
 }
 
 let make_page fill =
@@ -30,28 +41,28 @@ let make_page fill =
     init = Bytes.make page_slots '\000';
   }
 
-let create ~fill = { fill; empty = make_page fill; pages = Array.make 64 None }
+let create ~fill = { fill; pages = Array.make initial_pages empty }
 
 let page_of t addr =
   (* [lsr] is a logical shift, so a negative address yields a huge page
      index and falls through to the empty page — no sign check needed. *)
   let pi = addr lsr page_bits in
-  if pi >= Array.length t.pages then t.empty
-  else match Array.unsafe_get t.pages pi with Some p -> p | None -> t.empty
+  if pi >= Array.length t.pages then empty else Array.unsafe_get t.pages pi
 
 let ensure t pi =
   if pi >= Array.length t.pages then begin
     let cap = max (pi + 1) (2 * Array.length t.pages) in
-    let pages = Array.make cap None in
+    let pages = Array.make cap empty in
     Array.blit t.pages 0 pages 0 (Array.length t.pages);
     t.pages <- pages
   end;
-  match t.pages.(pi) with
-  | Some p -> p
-  | None ->
+  let p = t.pages.(pi) in
+  if p != empty then p
+  else begin
     let p = make_page t.fill in
-    t.pages.(pi) <- Some p;
+    t.pages.(pi) <- p;
     p
+  end
 
 let map_range t ~base ~len ~tag ~owner =
   if base < 0 then invalid_arg "Shadow.map_range: negative base";

@@ -17,10 +17,22 @@
       cell).
 
     Lookups never allocate and never fault: addresses outside every page
-    (including negative ones) resolve to a shared, permanently-unmapped
-    [empty] page, so the interpreter's wild-pointer path needs no bounds
-    check of its own.  Pages are materialised only by {!map_range}, i.e.
-    only for address ranges an allocation actually covers. *)
+    (including negative ones) resolve to the [empty] page, so the
+    interpreter's wild-pointer path needs no bounds check of its own.
+    Pages are materialised only by {!map_range}, i.e. only for address
+    ranges an allocation actually covers, and are small enough
+    ([page_slots] = 256) to live in the minor heap: a run's shadow costs
+    in proportion to the slots it maps, as ASan's shadow is backed only
+    where it is touched.
+
+    {b Contract: tag before [owner]/[values]/[init].}  The [empty] page is
+    one module-level value shared by every instance: its [tags] and
+    [init] are the same all-[tag_unmapped] string and its [owner] and
+    [values] are zero-length.  A caller must read the slot's tag first and
+    touch [owner], [values] or [init] only when the tag is not
+    [tag_unmapped]: indexing [owner]/[values] of the empty page is out of
+    bounds, and a write to its [init] would change the tags and init
+    bytes that every other instance sees. *)
 
 val page_bits : int
 val page_slots : int
@@ -56,9 +68,9 @@ val create : fill:'a -> 'a t
 
 val page_of : 'a t -> int -> 'a page
 (** Total: the page covering the address, or the shared empty page (all
-    tags [tag_unmapped]) when none was ever mapped.  Callers must check
-    the tag before touching [values]/[init]/[owner] — writing through an
-    unmapped tag would corrupt the shared empty page. *)
+    tags [tag_unmapped], no [owner]/[values] slots) when none was ever
+    mapped.  Callers must check the tag before touching
+    [values]/[init]/[owner] — see the contract above. *)
 
 val map_range : 'a t -> base:int -> len:int -> tag:char -> owner:int -> unit
 (** Tag [len] slots starting at [base] (materialising pages as needed)

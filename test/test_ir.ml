@@ -742,7 +742,7 @@ let sanitizer_variants m =
   @ Option.to_list (apply "all-combined" San.all)
 
 let assert_differential ?(entry = "main") ?(fuel = Interp.default_config.Interp.fuel)
-    name m args_list =
+    ?(seeds = diff_seeds) name m args_list =
   List.iter
     (fun (variant, m) ->
       let pm = Interp.compile m in
@@ -759,7 +759,7 @@ let assert_differential ?(entry = "main") ?(fuel = Interp.default_config.Interp.
                 true
                 (runs_identical fast oracle))
             args_list)
-        diff_seeds)
+        seeds)
     (sanitizer_variants m)
 
 (* ---- corpus ---- *)
@@ -1176,4 +1176,158 @@ let () =
     [
       ( "wild-pointer",
         [ Alcotest.test_case "forged absolute pointer" `Quick test_wild_forged_pointer ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Shadow memory geometry.  Pages are small enough to live in the minor
+   heap, so a run's shadow costs what it maps; the never-mapped page is
+   one shared value whose bytes no run may write; and allocations that
+   straddle page boundaries behave exactly as in the reference engine. *)
+
+(* A request-handler-shaped program: a global lookup table, a heap
+   buffer filled and checksummed in loops, a table update, a free. *)
+let handler_src =
+  {|@table = global [64]
+
+define @main(%x) {
+entry:
+  %buf = call @malloc(32)
+  br %fill
+fill:
+  %i = phi [0, %entry], [%i2, %fill]
+  %v = mul %i, %x
+  %p = gep %buf, %i
+  store %v, %p
+  %i2 = add %i, 1
+  %c = icmp slt %i2, 32
+  condbr %c, %fill, %sum
+sum:
+  %j = phi [0, %fill], [%j2, %sum]
+  %acc = phi [0, %fill], [%acc2, %sum]
+  %q = gep %buf, %j
+  %w = load %q
+  %acc2 = add %acc, %w
+  %j2 = add %j, 1
+  %d = icmp slt %j2, 32
+  condbr %d, %sum, %done
+done:
+  %k = srem %acc2, 64
+  %t = gep @table, %k
+  %old = load %t
+  %new = add %old, %acc2
+  store %new, %t
+  call @free(%buf)
+  ret %acc2
+}
+|}
+
+(* Words allocated directly in the major heap so far, i.e. not by
+   promotion of minor-heap survivors.  The minor collection first makes
+   pending promotions show in both counters, so the difference between
+   two readings is an exact count.  A run that built its shadow pages in
+   the major heap would put thousands of words per run here. *)
+let direct_major_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+let test_shadow_alloc_budget () =
+  let m = Inst.apply_exn [ San.asan ] (Parser.parse_exn handler_src) in
+  let pm = Interp.compile m in
+  let runs = 200 and budget = 64. in
+  List.iter
+    (fun seed ->
+      let config = { Interp.default_config with layout_seed = seed } in
+      let run x =
+        let r = Interp.run_compiled ~config pm ~entry:"main" ~args:[ Int64.of_int x ] in
+        match r.Interp.outcome with
+        | Interp.Finished (Some _) -> ()
+        | _ -> Alcotest.fail "handler did not finish"
+      in
+      run 1;
+      let before = direct_major_words () in
+      for x = 1 to runs do run x done;
+      let per_run = (direct_major_words () -. before) /. float_of_int runs in
+      if per_run >= budget then
+        Alcotest.failf
+          "layout_seed %d: %.1f words/run allocated directly in the major heap (budget %.0f)" seed
+          per_run budget)
+    [ 0; 1; 12345 ]
+
+(* main(a): one operation on an address passed in as an integer. *)
+let addr_prog body =
+  Parser.parse_exn (Printf.sprintf "define @main(%%a) {\nentry:\n%s\n  ret 0\n}\n" body)
+
+let test_shadow_empty_page_unwritten () =
+  let progs =
+    [
+      ("wild store", addr_prog "  store 1, %a");
+      ("wild load", addr_prog "  %v = load %a");
+      ("bad free", addr_prog "  call @free(%a)");
+      ("init_ok unmapped", addr_prog "  %ok = call @__bunshin_init_ok(%a)");
+    ]
+  in
+  (* Below the first allocation, above the last one, past the initial
+     page table, far out, and negative (a huge page index after [lsr]). *)
+  let addrs =
+    [
+      0x20; 0x1000 + (64 * Shadow.page_slots); 300 * Shadow.page_slots; 0x7FF0_0000; -1; -8; min_int;
+    ]
+  in
+  let args = List.map (fun a -> [ Int64.of_int a ]) addrs in
+  List.iter (fun (name, m) -> assert_differential name m args) progs;
+  let fresh = Shadow.create ~fill:0 in
+  List.iter
+    (fun a ->
+      let p = Shadow.page_of fresh a in
+      let off = a land Shadow.page_mask in
+      let name = Printf.sprintf "addr %d" a in
+      Alcotest.(check char) (name ^ " tag") Shadow.tag_unmapped (Bytes.get p.Shadow.tags off);
+      Alcotest.(check char) (name ^ " init") '\000' (Bytes.get p.Shadow.init off);
+      Alcotest.(check bool) (name ^ " whole page clean") true
+        (Bytes.for_all (Char.equal '\000') p.Shadow.tags
+        && Bytes.for_all (Char.equal '\000') p.Shadow.init))
+    addrs
+
+(* An allocation of three pages, touched at every page edge, at the
+   redzone after it and after free, with a second allocation behind it:
+   the fast engine's paged shadow against the reference's per-address
+   tables, over several layouts. *)
+let test_shadow_page_boundary_diff () =
+  let s = Shadow.page_slots in
+  let m =
+    Parser.parse_exn
+      (Printf.sprintf
+         {|define @main(%%i) {
+entry:
+  %%p = call @malloc(%d)
+  %%r = call @malloc(%d)
+  %%q = gep %%p, %%i
+  store 7, %%q
+  %%v = load %%q
+  %%q2 = gep %%r, %%i
+  store %%v, %%q2
+  call @free(%%p)
+  %%w = load %%q
+  %%x = load %%q2
+  %%s = add %%v, %%w
+  %%t = add %%s, %%x
+  ret %%t
+}
+|}
+         (3 * s) s)
+  in
+  let idx = [ 0; s - 1; s; (2 * s) - 1; 2 * s; (3 * s) - 1; 3 * s; (3 * s) + 1; (3 * s) + 4 ] in
+  assert_differential ~seeds:[ 0; 1; 2; 3; 7; 4096; 12345; 99_991 ] "page boundary" m
+    (List.map (fun i -> [ Int64.of_int i ]) idx)
+
+let () =
+  Alcotest.run ~and_exit:false "bunshin_ir_shadow"
+    [
+      ( "shadow",
+        [
+          Alcotest.test_case "per-run major-heap allocation budget" `Quick test_shadow_alloc_budget;
+          Alcotest.test_case "shared empty page never written" `Quick test_shadow_empty_page_unwritten;
+          Alcotest.test_case "page-boundary differential" `Quick test_shadow_page_boundary_diff;
+        ] );
     ]
