@@ -967,6 +967,7 @@ type nxe_measure = {
   nm_total_time : float; (* simulated us, deterministic *)
   nm_syncs_per_s : float; (* wall clock *)
   nm_minor_words_per_sync : float;
+  nm_major_words_per_sync : float; (* allocated directly in the major heap *)
 }
 
 let nxe_measure ~batches ~runs mk_traces config =
@@ -982,9 +983,18 @@ let nxe_measure ~batches ~runs mk_traces config =
   (* Steady-state allocation: minor words consumed by a whole run divided
      by its synchronized syscalls.  Measured on a single run (not best-of)
      so the number is an honest per-run figure including registration. *)
+  let direct_major () =
+    (* Full collections keep a major cycle in flight from skewing the
+       counters; promotions are not direct allocations. *)
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let dw0 = direct_major () in
   let mw0 = Gc.minor_words () in
   let r1 = run1 () in
   let mwords = Gc.minor_words () -. mw0 in
+  let dwords = direct_major () -. dw0 in
   if r1.Nxe.synced_syscalls <> r0.Nxe.synced_syscalls
      || r1.Nxe.total_time <> r0.Nxe.total_time
   then begin
@@ -1009,6 +1019,9 @@ let nxe_measure ~batches ~runs mk_traces config =
     nm_minor_words_per_sync =
       (if r0.Nxe.synced_syscalls = 0 then 0.0
        else mwords /. float_of_int r0.Nxe.synced_syscalls);
+    nm_major_words_per_sync =
+      (if r0.Nxe.synced_syscalls = 0 then 0.0
+       else dwords /. float_of_int r0.Nxe.synced_syscalls);
   }
 
 (* Syscall-dense bzip2: the spec row's instruction mix and function set,
@@ -1082,6 +1095,18 @@ let nxe_data () =
               "nxe bench: allocation budget exceeded on %s: %.1f minor words/sync (budget %.0f)\n"
               sname m.nm_minor_words_per_sync
               (120.0 *. float_of_int n);
+            exit 1
+          end;
+          (* Bounded memory: the slot ring and order list are reclaimed
+             behind the slowest live cursor, so a run's columns stay small
+             enough for the minor heap and nothing grows in the major heap
+             with run length.  A fixed per-run set-up cost would show as a
+             fraction of a word per sync; columns that double without
+             reclaim cost tens of words per sync on these workloads. *)
+          if wname <> "bzip2" && m.nm_major_words_per_sync >= 1.0 then begin
+            Printf.eprintf
+              "nxe bench: direct major-heap allocation on %s: %.2f words/sync (budget < 1)\n"
+              sname m.nm_major_words_per_sync;
             exit 1
           end;
           let speedup =

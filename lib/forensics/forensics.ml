@@ -11,63 +11,6 @@ let pp_rec fmt r =
 let rec_str r = Format.asprintf "%a" pp_rec r
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder *)
-
-module Tape = struct
-  (* Parallel preallocated arrays: recording is three stores (a pointer,
-     an immediate int, an unboxed float) — nothing allocates, so the
-     recorder can stay on for every synced syscall like the NXE's
-     always-on histograms.  [syscall_rec] values only materialize on the
-     abort path ([to_list]/[find]). *)
-  type t = {
-    cap : int;
-    scs : Sc.t array;
-    poss : int array;      (* -1 = never written *)
-    times : float array;
-    mutable total : int;   (* records ever written *)
-  }
-
-  let create ~depth =
-    if depth < 1 then invalid_arg "Forensics.Tape.create: depth must be >= 1";
-    {
-      cap = depth;
-      scs = Array.make depth (Sc.make "tape.empty");
-      poss = Array.make depth (-1);
-      times = Array.make depth 0.0;
-      total = 0;
-    }
-
-  let depth t = t.cap
-
-  let record t ~pos ~time sc =
-    let i = t.total mod t.cap in
-    t.scs.(i) <- sc;
-    t.poss.(i) <- pos;
-    t.times.(i) <- time;
-    t.total <- t.total + 1
-
-  let recorded t = t.total
-
-  let rec_at t idx =
-    { r_pos = t.poss.(idx); r_name = t.scs.(idx).Sc.name; r_args = t.scs.(idx).Sc.args;
-      r_time = t.times.(idx) }
-
-  let to_list t =
-    let k = min t.total t.cap in
-    List.init k (fun j -> rec_at t ((t.total - k + j) mod t.cap))
-
-  let find t ~pos =
-    let k = min t.total t.cap in
-    let rec scan j =
-      if j < 0 then None
-      else
-        let idx = (t.total - k + j) mod t.cap in
-        if t.poss.(idx) = pos then Some (rec_at t idx) else scan (j - 1)
-    in
-    scan (k - 1)
-end
-
-(* ------------------------------------------------------------------ *)
 (* Blame attribution *)
 
 type vote = Issued of syscall_rec | Exited | Pending

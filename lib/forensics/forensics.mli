@@ -8,11 +8,10 @@
     variant went off-script, and which sanitizer check made it do so) has
     to be reconstructed.  This module is that reconstruction:
 
-    - {b Flight recorder} ({!Tape}): a bounded per-(channel, variant) ring
-      of the last K published/fetched syscall slots.  Recording a slot is
-      three array stores into preallocated parallel arrays — no allocation
-      on the steady path — so the recorder is always on, like the NXE's
-      report histograms.
+    - {b Flight recorder}: each variant's last K published/fetched slots
+      per channel, as {!syscall_rec} tapes.  The NXE keeps them in its slot
+      ring (the one store of a channel's syscall stream), always on, and
+      derives the tapes when it builds an incident.
     - {b Blame attribution}: at the divergent slot every variant casts a
       {!vote} (the syscall it issued there, or the fact it had exited, or
       that it never arrived).  Majority vote names the outlier; a 2-variant
@@ -36,32 +35,6 @@ type syscall_rec = {
 }
 
 val pp_rec : Format.formatter -> syscall_rec -> unit
-
-(** {1 Flight recorder} *)
-
-module Tape : sig
-  type t
-
-  val create : depth:int -> t
-  (** A recorder retaining the last [depth] records.
-      @raise Invalid_argument if [depth < 1]. *)
-
-  val depth : t -> int
-
-  val record : t -> pos:int -> time:float -> Bunshin_syscall.Syscall.t -> unit
-  (** Append one record, evicting the oldest when full.  Allocation-free:
-      three stores into preallocated arrays (the syscall value is shared,
-      not copied). *)
-
-  val recorded : t -> int
-  (** Total records ever written (≥ number retained). *)
-
-  val to_list : t -> syscall_rec list
-  (** Retained records, oldest first. *)
-
-  val find : t -> pos:int -> syscall_rec option
-  (** The retained record for stream position [pos], if not yet evicted. *)
-end
 
 (** {1 Blame attribution} *)
 

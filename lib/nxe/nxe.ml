@@ -3,7 +3,6 @@ module Pthreads = Bunshin_machine.Pthreads
 module Sc = Bunshin_syscall.Syscall
 module Trace = Bunshin_program.Trace
 module Program = Bunshin_program.Program
-module Vec = Bunshin_util.Vec
 module Tel = Bunshin_telemetry.Telemetry
 module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
@@ -266,10 +265,45 @@ let sc_signal_delivery = Sc.make "signal_delivery"
 let sc_clone_cost = Sc.base_cost (Sc.clone_thread ())
 let sc_fork_cost = Sc.base_cost (Sc.fork ())
 
+(* A bounded ring retains the stream positions [lo, len) at index
+   [pos land mask].  Every slot and order-list access goes through [idx]:
+   a reclaimed position fails loudly instead of aliasing a newer entry. *)
+type ring = { mutable lo : int; mutable len : int; mutable mask : int }
+
+let new_ring () = { lo = 0; len = 0; mask = -1 }
+
+let idx r pos =
+  if pos < r.lo || pos >= r.len then invalid_arg "Nxe: position outside the retained ring"
+  else pos land r.mask
+
+let relayout r ncap fill a =
+  let b = Array.make ncap fill in
+  for p = r.lo to r.len - 1 do
+    b.(p land (ncap - 1)) <- a.(p land r.mask)
+  done;
+  b
+
+(* Append one position.  A full ring first reclaims below [watermark x y],
+   the lowest position a live participant still needs; only if that frees
+   nothing does [grow x y] re-lay the owner's columns out at double the
+   capacity (16 at first). *)
+let append r x y ~watermark ~grow =
+  if r.len - r.lo > r.mask then begin
+    let wm = min r.len (watermark x y) in
+    if wm > r.lo then r.lo <- wm
+    else begin
+      let ncap = max 16 (2 * (r.mask + 1)) in
+      grow x y ncap;
+      r.mask <- ncap - 1
+    end
+  end;
+  r.len <- r.len + 1;
+  r.len - 1
+
 (* One syscall channel per logical thread: the per-thread stream of the
-   execution group.  The slot ring is struct-of-arrays: publish, fetch and
-   vote write preallocated ints/floats/bools — no record per event.  The
-   per-slot columns are:
+   execution group, and its only store.  The slot ring is struct-of-arrays:
+   publish, fetch and vote write preallocated ints/floats/bools, no record
+   per event; [ring.len] is the leader's position.  The columns are:
      sl_sc       the published syscall
      sl_ready    leader released the slot (result available on node 0)
      sl_arrived  followers checked in so far
@@ -285,14 +319,19 @@ let sc_fork_cost = Sc.base_cost (Sc.fork ())
        their spans to the same rendezvous tree
      sl_ship     lockstep ship time, for the RTT histogram (grown only
        when there are remote nodes)
+     sl_time     per variant: when it recorded the slot (NaN: it did not)
    The columns live in shared memory on every placement: they model the
    content of messages, and sharing them keeps divergence verdicts
    structurally identical across placements.  What a remote node may look
    at is gated by its delivery watermarks [rp_len] / [rp_released], which
-   only ever advance from a Net delivery callback. *)
+   only ever advance from a Net delivery callback.  The flight recorder is
+   folded in: [rec_*] hold each variant's latest record, its own (maybe
+   divergent, or past the leader's exit) syscall; earlier records passed
+   [Sc.args_match], so the ring's syscall is exact for them. *)
 type chan = {
   ch_id : int;
   ch_path : string; (* identity of the logical thread, equal across variants *)
+  ring : ring;
   mutable sl_sc : Sc.t array;
   mutable sl_ready : bool array;
   mutable sl_arrived : int array;
@@ -303,8 +342,11 @@ type chan = {
   mutable sl_trace : int array;
   mutable sl_span : int array;
   mutable sl_ship : float array;
-  mutable sl_len : int;
-  mutable leader_pos : int;
+  sl_time : float array array; (* per variant *)
+  rec_pos : int array; (* per variant; -1: no record yet *)
+  rec_sc : Sc.t array;
+  rec_time : float array;
+  frozen : F.syscall_rec list option array; (* per variant: window kept at retirement *)
   mutable leader_done : bool;
   cursors : int array; (* per follower *)
   kn : int array; (* per follower: the leader's (wire-delayed) knowledge of it *)
@@ -314,44 +356,37 @@ type chan = {
   rp_released : int array; (* per node: releases delivered there *)
   leader_q : M.Waitq.t;
   fol_q : M.Waitq.t array;
-  tapes : F.Tape.t array;
-  (* per-variant flight recorder: the last K slots each variant
-     published/fetched on this channel, always on (allocation-free
-     recording), so an abort can reconstruct who went off-script *)
 }
 
-(* Amortized-doubling growth of the slot columns; slots are never evicted
-   (a restarted variant refetches), exactly like the Vec they replace. *)
-let ensure_slot chan =
-  let cap = Array.length chan.sl_ready in
-  if chan.sl_len = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let grow_sc a = let b = Array.make ncap dummy_sc in Array.blit a 0 b 0 cap; b in
-    let grow_b a = let b = Array.make ncap false in Array.blit a 0 b 0 cap; b in
-    let grow_i a = let b = Array.make ncap 0 in Array.blit a 0 b 0 cap; b in
-    let grow_f a = let b = Array.make ncap 0.0 in Array.blit a 0 b 0 cap; b in
-    chan.sl_sc <- grow_sc chan.sl_sc;
-    chan.sl_ready <- grow_b chan.sl_ready;
-    chan.sl_arrived <- grow_i chan.sl_arrived;
-    chan.sl_first <- grow_f chan.sl_first;
-    chan.sl_last <- grow_f chan.sl_last;
-    chan.sl_lastv <- grow_i chan.sl_lastv;
-    chan.sl_sigdel <- grow_b chan.sl_sigdel;
-    chan.sl_trace <- grow_i chan.sl_trace;
-    chan.sl_span <- grow_i chan.sl_span;
-    if Array.length chan.rp_len > 1 then chan.sl_ship <- grow_f chan.sl_ship
-  end
+let slot chan pos = idx chan.ring pos
+
+let grow_slots _ chan ncap =
+  let re fill a = relayout chan.ring ncap fill a in
+  chan.sl_sc <- re dummy_sc chan.sl_sc;
+  chan.sl_ready <- re false chan.sl_ready;
+  chan.sl_arrived <- re 0 chan.sl_arrived;
+  chan.sl_first <- re 0.0 chan.sl_first;
+  chan.sl_last <- re 0.0 chan.sl_last;
+  chan.sl_lastv <- re 0 chan.sl_lastv;
+  chan.sl_sigdel <- re false chan.sl_sigdel;
+  chan.sl_trace <- re 0 chan.sl_trace;
+  chan.sl_span <- re 0 chan.sl_span;
+  Array.iteri (fun v col -> chan.sl_time.(v) <- re Float.nan col) chan.sl_time;
+  if Array.length chan.rp_len > 1 then chan.sl_ship <- re 0.0 chan.sl_ship
 
 (* Weak-determinism replay state: one per process path, shared by all
    variants (models the kernel module's order_list).  Order entries are
    interned channel ids — the replay spin compares ints, never paths.  A
    follower replays an entry only once it is delivered to its node. *)
 type det = {
-  d_order : int Vec.t;   (* ltids (as channel ids) in leader acquisition order *)
+  d_ring : ring;
+  mutable d_order : int array; (* ltids (as channel ids) in leader acquisition order *)
   d_cursors : int array; (* per follower variant *)
   d_qs : M.Waitq.t array; (* per follower variant *)
   rd_len : int array; (* per node: entries delivered there *)
 }
+
+let grow_order _ det ncap = det.d_order <- relayout det.d_ring ncap 0 det.d_order
 
 (* Per-remote-node outbox of batched stream entries.  Contiguous runs on
    the same channel / order list coalesce into one watermark item, so a
@@ -616,6 +651,7 @@ let get_chan nxe path =
         {
           ch_id = nxe.chan_count;
           ch_path = path;
+          ring = new_ring ();
           sl_sc = [||];
           sl_ready = [||];
           sl_arrived = [||];
@@ -626,8 +662,11 @@ let get_chan nxe path =
           sl_trace = [||];
           sl_span = [||];
           sl_ship = [||];
-          sl_len = 0;
-          leader_pos = 0;
+          sl_time = Array.make nxe.n [||];
+          rec_pos = Array.make nxe.n (-1);
+          rec_sc = Array.make nxe.n dummy_sc;
+          rec_time = Array.make nxe.n 0.0;
+          frozen = Array.make nxe.n None;
           leader_done = false;
           cursors = Array.make nf 0;
           kn = wire nf;
@@ -637,7 +676,6 @@ let get_chan nxe path =
           rp_released = wire nodes;
           leader_q = M.Waitq.create ();
           fol_q = Array.init nf (fun _ -> M.Waitq.create ());
-          tapes = Array.init nxe.n (fun _ -> F.Tape.create ~depth:nxe.cfg.recorder_depth);
         }
       in
       nxe.chan_count <- nxe.chan_count + 1;
@@ -656,7 +694,8 @@ let get_det nxe path =
       let nf = nxe.n - 1 in
       let d =
         {
-          d_order = Vec.create ();
+          d_ring = new_ring ();
+          d_order = [||];
           d_cursors = Array.make nf 0;
           d_qs = Array.init nf (fun _ -> M.Waitq.create ());
           rd_len = Array.make (Array.length nxe.machines) 0;
@@ -753,8 +792,8 @@ let append_slot nxe r k chan ~pos sc =
   ob.ob_bytes <- ob.ob_bytes + batch_entry_bytes r.w.ship sc;
   (* The batch message carries the context of its newest slot: by the time
      it flushes, earlier slots' rendezvous roots have already closed. *)
-  if pos < Array.length chan.sl_span && chan.sl_span.(pos) >= 0 then
-    ob.ob_span <- chan.sl_span.(pos);
+  let span = chan.sl_span.(slot chan pos) in
+  if span >= 0 then ob.ob_span <- span;
   if ob.ob_slots >= r.w.batch_slots then flush_node nxe r k
 
 let append_order nxe r k det ~hi =
@@ -794,13 +833,14 @@ let maybe_flow nxe r chan ~variant =
 let ship_slot nxe r chan ~pos sc =
   let m = nxe.machines.(0) in
   flush_all nxe r;
-  if Array.length chan.rp_len > 1 then chan.sl_ship.(pos) <- M.now m;
+  if Array.length chan.rp_len > 1 then chan.sl_ship.(slot chan pos) <- M.now m;
   for k = 1 to Array.length nxe.machines - 1 do
     if node_active nxe k then begin
       M.compute m r.w.msg_cost;
       let bytes = ship_bytes r.w.ship sc in
       r.t_ship <- r.t_ship + bytes;
-      Net.send_traced r.net r.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k (fun () ->
+      let span = chan.sl_span.(slot chan pos) in
+      Net.send_traced r.net r.down.(k - 1) ~bytes ~span ~node:k (fun () ->
           if pos + 1 > chan.rp_len.(k) then chan.rp_len.(k) <- pos + 1;
           wake_node nxe chan.fol_q k)
     end
@@ -816,7 +856,7 @@ let release_slot nxe r chan ~pos sc ~lockstep =
         M.compute nxe.machines.(0) r.w.msg_cost;
         let bytes = release_bytes sc in
         r.t_release <- r.t_release + bytes;
-        Net.send_traced r.net r.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k
+        Net.send_traced r.net r.down.(k - 1) ~bytes ~span:chan.sl_span.(slot chan pos) ~node:k
           (fun () ->
             if pos + 1 > chan.rp_released.(k) then chan.rp_released.(k) <- pos + 1;
             if pos + 1 > chan.rp_len.(k) then chan.rp_len.(k) <- pos + 1;
@@ -842,7 +882,7 @@ let known_min_cursor nxe chan =
       if k < !best then best := k
     end
   done;
-  if !best = max_int then chan.leader_pos else !best
+  if !best = max_int then chan.ring.len else !best
 
 (* ------------------------------------------------------------------ *)
 (* Causal tracing.  The rendezvous root opens when the leader starts its
@@ -869,7 +909,7 @@ let slot_retired nxe chan pos =
 let record_sched_wait nxe tc chan pos ~variant (r0, r1) =
   if r1 > r0 then
     ignore
-      (Tx.record_child tc Tx.Sched_wait ~parent:chan.sl_span.(pos)
+      (Tx.record_child tc Tx.Sched_wait ~parent:chan.sl_span.(slot chan pos)
          ~node:nxe.place.(variant) ~variant ~chan:chan.ch_id ~pos ~t0:r0 ~t1:r1)
 
 (* The calling thread's last run-queue wait.  Must be called before any
@@ -896,61 +936,111 @@ let monitor_proc nxe =
     nxe.mon_proc <- Some p;
     p
 
-(* Blame vote of variant [v] at [pos]: its flight recorder if the entry is
-   still retained, else the slot stream / cursor position. *)
-let vote_at chan ~pos v =
-  match F.Tape.find chan.tapes.(v) ~pos with
-  | Some r -> F.Issued r
+(* ------------------------------------------------------------------ *)
+(* Flight recorder: a variant's window is its last [recorder_depth]
+   records, its latest record plus the slots its time column stamps (a
+   follower skips the signal-delivery slots it consumes unissued). *)
+
+let record chan v ~pos ~time sc =
+  chan.rec_pos.(v) <- pos;
+  chan.rec_sc.(v) <- sc;
+  chan.rec_time.(v) <- time;
+  if pos < chan.ring.len then chan.sl_time.(v).(slot chan pos) <- time
+
+let stamped chan v p = not (Float.is_nan chan.sl_time.(v).(slot chan p))
+let rec_of p sc time = { F.r_pos = p; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = time }
+
+(* Lowest position in [v]'s window ([max_int] before any record). *)
+let window_low nxe chan v =
+  let last = chan.rec_pos.(v) in
+  let low = ref (if last < 0 then max_int else last) and k = ref (nxe.cfg.recorder_depth - 1)
+  and p = ref (min last chan.ring.len - 1) in
+  while !k > 0 && !p >= chan.ring.lo do
+    if stamped chan v !p then begin low := !p; decr k end;
+    decr p
+  done;
+  !low
+
+(* [v]'s window as a flight-recorder tape, oldest first. *)
+let window nxe chan v =
+  match chan.frozen.(v) with
+  | Some w -> w
   | None ->
-    let passed = if v = 0 then chan.leader_pos > pos else chan.cursors.(v - 1) > pos in
-    let exited = if v = 0 then chan.leader_done else chan.fol_done.(v - 1) in
-    if passed then
-      if pos < chan.sl_len then begin
-        let sc = chan.sl_sc.(pos) in
-        (* Evicted from the tape: the slot stream still knows what was
-           issued there, just not when. *)
-        F.Issued { F.r_pos = pos; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = 0.0 }
-      end
-      else F.Pending
-    else if exited then F.Exited
-    else F.Pending
+    let last = chan.rec_pos.(v) in
+    let acc = ref (if last < 0 then [] else [ rec_of last chan.rec_sc.(v) chan.rec_time.(v) ]) in
+    for p = min last chan.ring.len - 1 downto window_low nxe chan v do
+      let s = slot chan p in
+      if stamped chan v p then acc := rec_of p chan.sl_sc.(s) chan.sl_time.(v).(s) :: !acc
+    done;
+    !acc
+
+(* What [v] issued at [p]: its record if [p] is in its window [w], else —
+   for a position it already passed — the ring's syscall, which a passed
+   check means it issued exactly, at an unknown time (0.0). *)
+let evidence chan v w p =
+  match List.find_opt (fun (r : F.syscall_rec) -> r.F.r_pos = p) w with
+  | Some _ as r -> r
+  | None ->
+    if (if v = 0 then chan.ring.len else chan.cursors.(v - 1)) > p then
+      Some (rec_of p chan.sl_sc.(slot chan p) 0.0)
+    else None
 
 (* Divergence evidence with remote followers must be mode-independent:
    when a batched check fails, the leader (and followers on other nodes)
-   may have run far ahead of the diverging slot, so a live recorder
-   snapshot would show run-ahead entries naive lockstep can never contain.
-   Rebuild the window ending at the divergence instead — recorded entries
-   where the recorder still holds them, slot-stream reconstructions for
-   positions the variant already passed (a passed check means it issued
-   exactly the leader's syscall there).  Fault incidents, and every
-   incident of a placement that keeps all variants on node 0 (the local
-   engine's case), keep the live tapes. *)
-let divergence_tape nxe chan ~pos v =
-  let lo = max 0 (pos - nxe.cfg.recorder_depth + 1) in
-  let recorded = F.Tape.to_list chan.tapes.(v) in
-  let passed p = if v = 0 then p < chan.sl_len else chan.cursors.(v - 1) > p in
-  List.concat
-    (List.init (pos - lo + 1) (fun i ->
-         let p = lo + i in
-         match List.find_opt (fun (r : F.syscall_rec) -> r.F.r_pos = p) recorded with
-         | Some r -> [ r ]
-         | None ->
-           if passed p && p < chan.sl_len then begin
-             let sc = chan.sl_sc.(p) in
-             [ { F.r_pos = p; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = 0.0 } ]
-           end
-           else []))
-
+   may have run far ahead of the diverging slot, so the tapes hold the
+   evidence at the positions ending at the divergence instead of the live
+   windows, which naive lockstep could never show.  Fault incidents, and
+   placements that keep every variant on node 0, show the windows. *)
 let incident_for nxe ~chan ~pos ~flagged ~expected ~got ?mismatch_override ~time () =
   let rebuild = mismatch_override = None && Array.exists (fun k -> k <> 0) nxe.place in
+  let lo = max 0 (pos - nxe.cfg.recorder_depth + 1) in
+  let windows = Array.init nxe.n (window nxe chan) in
+  let vote v =
+    match evidence chan v windows.(v) pos with
+    | Some r -> F.Issued r
+    | None when (if v = 0 then chan.leader_done else chan.fol_done.(v - 1)) -> F.Exited
+    | None -> F.Pending
+  in
   F.build ?mismatch_override ~channel:chan.ch_id ~position:pos ~flagged ~expected ~got
     ~time
-    ~votes:(Array.init nxe.n (vote_at chan ~pos))
+    ~votes:(Array.init nxe.n vote)
     ~tapes:
-      (Array.init nxe.n (fun v ->
-           if rebuild then divergence_tape nxe chan ~pos v
-           else F.Tape.to_list chan.tapes.(v)))
+      (Array.mapi
+         (fun v w ->
+           if rebuild then List.filter_map (evidence chan v w) (List.init (pos - lo + 1) (( + ) lo))
+           else w)
+         windows)
     ()
+
+(* A follower the monitor may still respawn: the restart refetches from
+   position 0, so it pins every ring there until it has used it. *)
+let may_restart nxe v =
+  nxe.cfg.fault_policy.policy = Restart_once
+  && nxe.v_restarts.(v) = 0
+  && (nxe.live_threads.(v) > 0 || nxe.v_quarantined.(v))
+
+(* The leader's window and each live follower's cursor and window.  A
+   retired (finished or quarantined) follower does not pin the ring: its
+   window is frozen first, so later incidents still show it. *)
+let slot_watermark nxe chan =
+  let wm = ref (window_low nxe chan 0) in
+  for i = 0 to Array.length chan.cursors - 1 do
+    let v = i + 1 in
+    if chan.fol_done.(i) && chan.frozen.(v) = None then chan.frozen.(v) <- Some (window nxe chan v);
+    if may_restart nxe v then wm := 0
+    else if not chan.fol_done.(i) then wm := min !wm (min chan.cursors.(i) (window_low nxe chan v))
+  done;
+  !wm
+
+(* The slowest live follower's replay cursor. *)
+let order_watermark nxe det =
+  let wm = ref max_int in
+  for i = 0 to Array.length det.d_cursors - 1 do
+    let v = i + 1 in
+    if may_restart nxe v then wm := 0
+    else if nxe.live_threads.(v) > 0 then wm := min !wm det.d_cursors.(i)
+  done;
+  !wm
 
 (* Where did the victim go missing?  The first channel (in creation order)
    where it lags the leader; the root channel as a fallback. *)
@@ -958,14 +1048,14 @@ let fault_site nxe variant =
   let chans = List.rev nxe.all_chans in
   let lagging c =
     if variant = 0 then not c.leader_done
-    else (not c.fol_done.(variant - 1)) && c.cursors.(variant - 1) < c.leader_pos
+    else (not c.fol_done.(variant - 1)) && c.cursors.(variant - 1) < c.ring.len
   in
   let c = match List.find_opt lagging chans with Some c -> c | None -> List.hd chans in
-  let pos = if variant = 0 then c.leader_pos else c.cursors.(variant - 1) in
+  let pos = if variant = 0 then c.ring.len else c.cursors.(variant - 1) in
   (c, pos)
 
 let expected_at chan pos =
-  if pos < chan.sl_len then Format.asprintf "%a" Sc.pp chan.sl_sc.(pos)
+  if pos < chan.ring.len then Format.asprintf "%a" Sc.pp chan.sl_sc.(slot chan pos)
   else "<heartbeat>"
 
 let cancel_variant nxe variant =
@@ -1041,7 +1131,6 @@ let handle_fault nxe ~variant ~cause =
         let first = nxe.v_restarts.(variant) = 0 in
         quarantine nxe ~variant ~cause;
         if first then begin
-          nxe.v_restarts.(variant) <- 1;
           let mon = monitor_proc nxe in
           ignore
             (M.spawn m mon
@@ -1125,16 +1214,20 @@ let leader_sync nxe chan sc =
    | None -> ());
   let pub_t0 = M.now m in
   ph_compute m Pr.Phase.Publish nxe.cfg.checkin_cost;
-  let pos = chan.leader_pos in
-  ensure_slot chan;
+  let pos = append chan.ring nxe chan ~watermark:slot_watermark ~grow:grow_slots in
+  let s = slot chan pos in (* only this fiber appends: valid for the call *)
   let publish_now = M.now m in
-  chan.sl_sc.(pos) <- sc;
-  chan.sl_ready.(pos) <- false;
-  chan.sl_arrived.(pos) <- 0;
-  chan.sl_first.(pos) <- publish_now;
-  chan.sl_last.(pos) <- publish_now;
-  chan.sl_lastv.(pos) <- 0;
-  chan.sl_sigdel.(pos) <- sc.Sc.name = "signal_delivery";
+  chan.sl_sc.(s) <- sc;
+  chan.sl_ready.(s) <- false;
+  chan.sl_arrived.(s) <- 0;
+  chan.sl_first.(s) <- publish_now;
+  chan.sl_last.(s) <- publish_now;
+  chan.sl_lastv.(s) <- 0;
+  chan.sl_sigdel.(s) <- sc.Sc.name = "signal_delivery";
+  for v = 1 to nxe.n - 1 do
+    chan.sl_time.(v).(s) <- Float.nan
+  done;
+  record chan 0 ~pos ~time:publish_now sc;
   (match nxe.cfg.tracer with
    | Some tc ->
      (* The rendezvous root: opens at the leader's check-in (widened back
@@ -1146,18 +1239,15 @@ let leader_sync nxe chan sc =
        Tx.start tc Tx.Rendezvous ~trace ~parent:(-1) ~node:0 ~variant:(-1) ~chan:chan.ch_id
          ~pos ~t0:pub_t0
      in
-     chan.sl_trace.(pos) <- trace;
-     chan.sl_span.(pos) <- root;
+     chan.sl_trace.(s) <- trace;
+     chan.sl_span.(s) <- root;
      ignore
        (Tx.record_child tc Tx.Publish ~parent:root ~node:0 ~variant:0 ~chan:chan.ch_id ~pos
           ~t0:pub_t0 ~t1:publish_now)
    | None ->
-     chan.sl_trace.(pos) <- -1;
-     chan.sl_span.(pos) <- -1);
-  chan.sl_len <- pos + 1;
-  F.Tape.record chan.tapes.(0) ~pos ~time:publish_now sc;
+     chan.sl_trace.(s) <- -1;
+     chan.sl_span.(s) <- -1);
   touch nxe 0;
-  chan.leader_pos <- pos + 1;
   nxe.synced <- nxe.synced + 1;
   let gap = pos - known_min_cursor nxe chan in
   if Array.length chan.cursors > 0 then begin
@@ -1189,7 +1279,7 @@ let leader_sync nxe chan sc =
             fail_at nxe chan ~pos ~variant:(i + 1) ~expected:sc.Sc.name ~got:"<exit>"
               ~expected_sc:sc ()
         done;
-        if (not (aborted nxe)) && chan.sl_arrived.(pos) < live_followers chan then begin
+        if (not (aborted nxe)) && chan.sl_arrived.(s) < live_followers chan then begin
           blocked := true;
           nxe_wait nxe ~variant:0 chan.leader_q
         end
@@ -1199,28 +1289,28 @@ let leader_sync nxe chan sc =
     (* Rendezvous complete: every live follower has checked in, so the
        slot's arrival scalars are final — name the straggler. *)
     if not (aborted nxe) then begin
-      let wait = Float.max 0.0 (chan.sl_last.(pos) -. chan.sl_first.(pos)) in
+      let wait = Float.max 0.0 (chan.sl_last.(s) -. chan.sl_first.(s)) in
       (match nxe.cfg.tracer with
        | Some tc ->
-         Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
+         Tx.extend_t0 tc chan.sl_span.(s) ~t0:chan.sl_first.(s);
          if !blocked then begin
            trace_sched_wait nxe tc chan pos ~variant:0;
            ignore
-             (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(pos) ~node:0
+             (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(s) ~node:0
                 ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from ~t1:(M.now m))
          end
        | None -> ());
       (match nxe.profile with
        | Some c ->
          Pr.Collector.record c ~chan:chan.ch_id ~pos ~time:(M.now m)
-           ~straggler:chan.sl_lastv.(pos) ~wait
+           ~straggler:chan.sl_lastv.(s) ~wait
        | None -> ());
       match nxe.tel with
       | Some tel when wait > 0.0 ->
         Tel.instant tel.t_dom ~tid
           ~args:
             [
-              ("straggler", string_of_int chan.sl_lastv.(pos));
+              ("straggler", string_of_int chan.sl_lastv.(s));
               ("wait_us", Printf.sprintf "%.3f" wait);
             ]
           ~ts:(M.now m) ~cat:"nxe" "straggler"
@@ -1232,7 +1322,7 @@ let leader_sync nxe chan sc =
        and a flow ack can land during that compute: re-check before
        parking so the wakeup is not lost. *)
     while
-      (not (aborted nxe)) && chan.leader_pos - known_min_cursor nxe chan > nxe.cfg.ring_capacity
+      (not (aborted nxe)) && chan.ring.len - known_min_cursor nxe chan > nxe.cfg.ring_capacity
     do
       match nxe.remote with
       | Some r when Array.exists (fun ob -> ob.ob_items <> []) r.outboxes -> flush_all nxe r
@@ -1245,7 +1335,7 @@ let leader_sync nxe chan sc =
   if !blocked && not (aborted nxe) then ph_compute m Pr.Phase.Resched nxe.cfg.resched_cost;
   if not (aborted nxe) then begin
     ph_compute m Pr.Phase.Syscall_service (Sc.base_cost sc);
-    chan.sl_ready.(pos) <- true;
+    chan.sl_ready.(s) <- true;
     nxe.executed <- nxe.executed + 1;
     touch nxe 0;
     (match nxe.remote with Some r -> release_slot nxe r chan ~pos sc ~lockstep | None -> ());
@@ -1256,11 +1346,11 @@ let leader_sync nxe chan sc =
      | _ -> ());
     (match nxe.cfg.tracer with
      | Some tc ->
-       Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
+       Tx.extend_t0 tc chan.sl_span.(s) ~t0:chan.sl_first.(s);
        (* With no live follower left the leader is the last participant:
           retire the root here.  Otherwise the follower advancing the last
           cursor closes it (fetches happen after this release). *)
-       if live_followers chan = 0 then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+       if live_followers chan = 0 then Tx.finish tc chan.sl_span.(s) ~t1:(M.now m)
      | None -> ());
     wake_all nxe chan.fol_q
   end;
@@ -1273,13 +1363,13 @@ let leader_sync nxe chan sc =
    leader exited, so [sc] is an extra syscall.  [false]: the group
    aborted on a divergence. *)
 let follower_agrees nxe chan ~variant ~pos ~now sc =
-  F.Tape.record chan.tapes.(variant) ~pos ~time:now sc;
-  if chan.leader_pos <= pos then begin
+  record chan variant ~pos ~time:now sc;
+  if chan.ring.len <= pos then begin
     fail_at nxe chan ~pos ~variant ~expected:"<exit>" ~got:sc.Sc.name ~got_sc:sc ();
     false
   end
   else begin
-    let exp_sc = chan.sl_sc.(pos) in
+    let exp_sc = chan.sl_sc.(slot chan pos) in
     Sc.args_match exp_sc sc
     || begin
       fail_at nxe chan ~pos ~variant
@@ -1293,28 +1383,36 @@ let follower_agrees nxe chan ~variant ~pos ~now sc =
    blocking; for a remote check, when its ack landed on node 0), so
    straggler attribution reflects who was late. *)
 let stamp_arrival chan ~pos ~variant t =
-  chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
-  if t < chan.sl_first.(pos) then chan.sl_first.(pos) <- t;
-  if t >= chan.sl_last.(pos) then begin
-    chan.sl_last.(pos) <- t;
-    chan.sl_lastv.(pos) <- variant
+  chan.sl_arrived.(slot chan pos) <- chan.sl_arrived.(slot chan pos) + 1;
+  if t < chan.sl_first.(slot chan pos) then chan.sl_first.(slot chan pos) <- t;
+  if t >= chan.sl_last.(slot chan pos) then begin
+    chan.sl_last.(slot chan pos) <- t;
+    chan.sl_lastv.(slot chan pos) <- variant
   end
 
 (* The follower takes released slot [pos]: fetch compute, cursor advance
-   and the Fetch span — the last consume retires the slot and closes the
-   rendezvous root. *)
-let consume nxe chan ~variant ~pos ~blocked =
+   and the Fetch span (after the Arrival edge ending at [arrived], if
+   given) — the last consume retires the slot and closes the rendezvous
+   root. *)
+let consume ?arrived nxe chan ~variant ~pos ~blocked =
   let m = machine_of nxe variant in
   let fetch_t0 = M.now m in
   fetch_compute nxe ~variant ~blocked;
   chan.cursors.(variant - 1) <- pos + 1;
   touch nxe variant;
+  let parent = chan.sl_span.(slot chan pos) and node = nxe.place.(variant) in
   match nxe.cfg.tracer with
-  | Some tc when chan.sl_span.(pos) >= 0 ->
+  | Some tc when parent >= 0 ->
+    (match arrived with
+     | Some t1 ->
+       ignore
+         (Tx.record_child tc Tx.Arrival ~parent ~node ~variant ~chan:chan.ch_id ~pos
+            ~t0:neg_infinity ~t1)
+     | None -> ());
     ignore
-      (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:nxe.place.(variant)
-         ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
-    if slot_retired nxe chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+      (Tx.record_child tc Tx.Fetch ~parent ~node ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0
+         ~t1:(M.now m));
+    if slot_retired nxe chan pos then Tx.finish tc parent ~t1:(M.now m)
   | _ -> ()
 
 (* A follower on node 0 reads the authoritative ring directly and gates
@@ -1325,7 +1423,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
   let pos = chan.cursors.(i) in
   let blocked_for_slot = ref false in
   let wait_from = M.now m in
-  while (not (aborted nxe)) && chan.leader_pos <= pos && not chan.leader_done do
+  while (not (aborted nxe)) && chan.ring.len <= pos && not chan.leader_done do
     blocked_for_slot := true;
     nxe_wait nxe ~variant chan.fol_q.(i)
   done;
@@ -1345,13 +1443,13 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
     (* An asynchronous signal the leader took at this point: consume the
        delivery slot, run the handler at the equivalent position, retry.
        The marker test is a cached bool stamped at publish time. *)
-    chan.leader_pos > pos
-    && chan.sl_sigdel.(pos)
+    chan.ring.len > pos
+    && chan.sl_sigdel.(slot chan pos)
     && sc.Sc.name <> "signal_delivery"
   then begin
-    chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
+    chan.sl_arrived.(slot chan pos) <- chan.sl_arrived.(slot chan pos) + 1;
     M.Waitq.signal m chan.leader_q;
-    while (not (aborted nxe)) && not chan.sl_ready.(pos) do
+    while (not (aborted nxe)) && not chan.sl_ready.(slot chan pos) do
       nxe_wait nxe ~variant chan.fol_q.(i)
     done;
     if not (aborted nxe) then begin
@@ -1359,11 +1457,11 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       chan.cursors.(i) <- pos + 1;
       touch nxe variant;
       (match nxe.cfg.tracer with
-       | Some tc when chan.sl_span.(pos) >= 0 && slot_retired nxe chan pos ->
-         Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+       | Some tc when chan.sl_span.(slot chan pos) >= 0 && slot_retired nxe chan pos ->
+         Tx.finish tc chan.sl_span.(slot chan pos) ~t1:(M.now m)
        | _ -> ());
       M.Waitq.signal m chan.leader_q;
-      (match chan.sl_sc.(pos).Sc.args with
+      (match chan.sl_sc.(slot chan pos).Sc.args with
        | [ idx ] when Int64.to_int idx < Array.length nxe.signal_handlers ->
          on_signal nxe.signal_handlers.(Int64.to_int idx)
        | _ -> ());
@@ -1373,13 +1471,13 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
   else if follower_agrees nxe chan ~variant ~pos ~now:(M.now m) sc then begin
     stamp_arrival chan ~pos ~variant wait_from;
     (match nxe.cfg.tracer with
-     | Some tc when chan.sl_span.(pos) >= 0 ->
+     | Some tc when chan.sl_span.(slot chan pos) >= 0 ->
        (* Arrival edge: rendezvous open -> this variant reached the sync
           point (the straggler edge of the profiler, as a span).  A
           variant arriving before the root opened cannot be the
           straggler; record_child drops its inverted interval. *)
        ignore
-         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node:0 ~variant
+         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(slot chan pos) ~node:0 ~variant
             ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
        record_sched_wait nxe tc chan pos ~variant rdy
      | _ -> ());
@@ -1391,14 +1489,14 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
     M.Waitq.signal m chan.leader_q;
     let blocked = ref false in
     let ready_from = M.now m in
-    while (not (aborted nxe)) && not chan.sl_ready.(pos) do
+    while (not (aborted nxe)) && not chan.sl_ready.(slot chan pos) do
       blocked := true;
       nxe_wait nxe ~variant chan.fol_q.(i)
     done;
     if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
     if not (aborted nxe) then begin
       (match nxe.cfg.tracer with
-       | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
+       | Some tc when !blocked && chan.sl_span.(slot chan pos) >= 0 ->
          trace_sched_wait nxe tc chan pos ~variant
        | _ -> ());
       consume nxe chan ~variant ~pos ~blocked:!blocked;
@@ -1415,7 +1513,7 @@ let remote_follower_sync nxe r chan ~variant sc =
   let m = nxe.machines.(node) in
   let i = variant - 1 in
   let pos = chan.cursors.(i) in
-  let drained () = chan.leader_done && chan.rp_len.(node) >= chan.leader_pos in
+  let drained () = chan.leader_done && chan.rp_len.(node) >= chan.ring.len in
   let blocked_for_slot = ref false in
   let wait_from = M.now m in
   while (not (aborted nxe)) && chan.rp_len.(node) <= pos && not (drained ()) do
@@ -1441,29 +1539,30 @@ let remote_follower_sync nxe r chan ~variant sc =
      delivered and the leader exited: [follower_agrees] sees the same
      stream end a local follower would. *)
   if aborted nxe || not (follower_agrees nxe chan ~variant ~pos ~now:(M.now m) sc) then ()
-  else if rendezvous nxe chan.sl_sc.(pos) then begin
+  else if rendezvous nxe chan.sl_sc.(slot chan pos) then begin
     (* Remote check: the ack carries this node's verdict (and its
        current cursor, for free) back to the leader.  The Arrival span
        opens at the rendezvous root and closes when the ack lands on
        node 0 — so a remote straggler's lateness INCLUDES its wire
        time, with the ack's Net_msg nested inside it; the largest-edge
        rule then separates "variant slow" from "wire slow". *)
+    let span = chan.sl_span.(slot chan pos) in
     let arr =
       match nxe.cfg.tracer with
-      | Some tc when chan.sl_span.(pos) >= 0 ->
+      | Some tc when span >= 0 ->
         record_sched_wait nxe tc chan pos ~variant rdy;
-        Tx.start tc Tx.Arrival ~trace:chan.sl_trace.(pos) ~parent:chan.sl_span.(pos) ~node
-          ~variant ~chan:chan.ch_id ~pos
-          ~t0:(Tx.span_t0 tc chan.sl_span.(pos))
+        Tx.start tc Tx.Arrival ~trace:chan.sl_trace.(slot chan pos) ~parent:span ~node ~variant
+          ~chan:chan.ch_id ~pos ~t0:(Tx.span_t0 tc span)
       | _ -> -1
     in
     M.compute m r.w.msg_cost;
-    let cursor_now = chan.cursors.(i) in
+    let cursor_now = chan.cursors.(i) and ship = chan.sl_ship.(slot chan pos) in
     r.t_ack <- r.t_ack + ack_bytes;
     Net.send_traced r.net r.up.(node - 1) ~bytes:ack_bytes ~span:arr ~node:0 (fun () ->
         let t0 = M.now nxe.machines.(0) in
-        stamp_arrival chan ~pos ~variant t0;
-        if chan.sl_ship.(pos) > 0.0 then Net.observe_rtt r.net (t0 -. chan.sl_ship.(pos));
+        (* A quarantined follower's late ack may land after the slot was reclaimed. *)
+        if pos >= chan.ring.lo then stamp_arrival chan ~pos ~variant t0;
+        if ship > 0.0 then Net.observe_rtt r.net (t0 -. ship);
         if cursor_now > chan.kn.(i) then chan.kn.(i) <- cursor_now;
         r.remote_checked <- r.remote_checked + 1;
         (match nxe.cfg.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
@@ -1477,7 +1576,7 @@ let remote_follower_sync nxe r chan ~variant sc =
     if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
     if not (aborted nxe) then begin
       (match nxe.cfg.tracer with
-       | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
+       | Some tc when !blocked && chan.sl_span.(slot chan pos) >= 0 ->
          trace_sched_wait nxe tc chan pos ~variant
        | _ -> ());
       consume nxe chan ~variant ~pos ~blocked:!blocked;
@@ -1488,12 +1587,12 @@ let remote_follower_sync nxe r chan ~variant sc =
     (* Batched slot: delivered pre-released.  With replication on, a
        read result is served from this node's replica of the leader
        stream — no payload crossed the wire for it. *)
-    if chan.sl_sc.(pos).Sc.klass = Sc.Io_read && r.w.ship = Selective_replicated then
+    if chan.sl_sc.(slot chan pos).Sc.klass = Sc.Io_read && r.w.ship = Selective_replicated then
       r.replicated <- r.replicated + 1;
     (match nxe.cfg.tracer with
-     | Some tc when chan.sl_span.(pos) >= 0 ->
+     | Some tc when chan.sl_span.(slot chan pos) >= 0 ->
        ignore
-         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node ~variant
+         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(slot chan pos) ~node ~variant
             ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
        record_sched_wait nxe tc chan pos ~variant rdy
      | _ -> ());
@@ -1525,17 +1624,17 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
   let i = variant - 1 in
   let blocked = ref false in
   let wait_from = M.now m in
-  while (not (aborted nxe)) && chan.leader_pos <= pos && not chan.leader_done do
+  while (not (aborted nxe)) && chan.ring.len <= pos && not chan.leader_done do
     blocked := true;
     nxe_wait nxe ~variant chan.fol_q.(i)
   done;
   if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
   if aborted nxe then ()
-  else if chan.leader_pos <= pos then
+  else if chan.ring.len <= pos then
     fail_at nxe chan ~pos ~variant ~expected:"<exit>" ~got:"shared-memory access" ()
   else begin
-    let exp_sc = chan.sl_sc.(pos) in
-    F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) exp_sc;
+    let exp_sc = chan.sl_sc.(slot chan pos) in
+    record chan variant ~pos ~time:(M.now m) exp_sc;
     (match exp_sc.Sc.args with
      | [ _; content ] -> dst := content
      | _ ->
@@ -1547,27 +1646,13 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
       M.Waitq.signal m chan.leader_q;
       let blocked2 = ref !blocked in
       let ready_from = M.now m in
-      while (not (aborted nxe)) && not chan.sl_ready.(pos) do
+      while (not (aborted nxe)) && not chan.sl_ready.(slot chan pos) do
         blocked2 := true;
         nxe_wait nxe ~variant chan.fol_q.(i)
       done;
       if M.now m > ready_from then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
       if not (aborted nxe) then begin
-        let fetch_t0 = M.now m in
-        fetch_compute nxe ~variant ~blocked:!blocked2;
-        chan.cursors.(i) <- pos + 1;
-        touch nxe variant;
-        (match nxe.cfg.tracer with
-         | Some tc when chan.sl_span.(pos) >= 0 ->
-           ignore
-             (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node:0 ~variant
-                ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
-           ignore
-             (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:0 ~variant
-                ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
-           if slot_retired nxe chan pos then
-             Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
-         | _ -> ());
+        consume ~arrived:wait_from nxe chan ~variant ~pos ~blocked:!blocked2;
         M.Waitq.signal m chan.leader_q
       end
     end
@@ -1588,15 +1673,16 @@ let det_order_op nxe det ~variant ~chan =
     let ltid = chan.ch_id in
     ph_compute m Pr.Phase.Synccall nxe.cfg.synccall_cost;
     if variant = 0 then begin
-      Vec.push det.d_order ltid;
-      det.rd_len.(0) <- Vec.length det.d_order;
+      let pos = append det.d_ring nxe det ~watermark:order_watermark ~grow:grow_order in
+      det.d_order.(idx det.d_ring pos) <- ltid;
+      det.rd_len.(0) <- pos + 1;
       nxe.order_len <- nxe.order_len + 1;
       touch nxe 0;
       wake_all nxe det.d_qs;
       match nxe.remote with
       | Some r ->
         for k = 1 to Array.length nxe.machines - 1 do
-          if node_active nxe k then append_order nxe r k det ~hi:(Vec.length det.d_order)
+          if node_active nxe k then append_order nxe r k det ~hi:(pos + 1)
         done
       | None -> ()
     end
@@ -1606,7 +1692,7 @@ let det_order_op nxe det ~variant ~chan =
         (not (aborted nxe))
         && not
              (det.d_cursors.(i) < det.rd_len.(node)
-             && Vec.get det.d_order det.d_cursors.(i) = ltid)
+             && det.d_order.(idx det.d_ring det.d_cursors.(i)) = ltid)
       do
         nxe_wait nxe ~variant det.d_qs.(i)
       done;
@@ -2089,8 +2175,10 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
         (* Rewind the variant and replay its original trace from scratch:
            channel cursors, weak-determinism replay, private locks and
            shared counters all reset.  Injection latches persist, so the
-           fault that killed it does not re-fire; retained slots are simply
-           refetched during catch-up (slots are never evicted). *)
+           fault that killed it does not re-fire; the slots are refetched
+           during catch-up (a follower that may still restart pins every
+           ring at position 0, see [may_restart]). *)
+        nxe.v_restarts.(variant) <- 1;
         nxe.v_quarantined.(variant) <- false;
         nxe.v_dead.(variant) <- false;
         nxe.sys_ord.(variant) <- 0;
@@ -2098,7 +2186,8 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
         List.iter
           (fun c ->
             c.cursors.(variant - 1) <- 0;
-            c.fol_done.(variant - 1) <- false)
+            c.fol_done.(variant - 1) <- false;
+            c.frozen.(variant) <- None)
           nxe.all_chans;
         List.iter (fun d -> d.d_cursors.(variant - 1) <- 0) nxe.all_dets;
         let keys tbl =
@@ -2198,10 +2287,9 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
      done;
      Pr.Collector.fill_run c ~total_time
    | None -> ());
-  (* Blame attribution: at an abort, every variant's flight recorder (plus
-     the slot stream, for entries the bounded tapes already evicted) yields
-     its vote at the divergent slot; the majority names the outlier.  A
-     fault-driven abort already built its incident at detection time. *)
+  (* Blame attribution: at an abort every variant votes at the divergent
+     slot from its window or the ring, and the majority names the outlier.
+     A fault-driven abort already built its incident at detection time. *)
   let incident =
     match nxe.fault_abort_incident with
     | Some _ as inc -> inc

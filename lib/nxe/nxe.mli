@@ -53,8 +53,10 @@ type recovery =
           accounts the sanitizer coverage lost with it) *)
   | Restart_once
       (** quarantine, then after [restart_backoff] respawn the victim from
-          its original trace exactly once; it catches up from the retained
-          slot stream.  A second fault quarantines it permanently. *)
+          its original trace exactly once; it catches up from slot 0.  A
+          second fault quarantines it permanently.  Until every follower
+          has used its restart the rings reclaim nothing, so these runs'
+          memory grows with run length. *)
 
 type fault_policy = {
   policy : recovery;
@@ -81,14 +83,14 @@ type config = {
   mode : mode;
   ring_capacity : int;
       (** slots the leader may have published-but-unconsumed in selective
-          mode.  Must be ≥ 1: the leader releases a slot only after its
-          run-ahead check, and followers only consume released slots, so
-          capacity 0 would deadlock on the first non-lockstep syscall and
-          is rejected at [run_*] entry.  Capacity 1 is the tightest legal
-          ring — the leader publishes slot [p] and stalls until every live
-          follower has consumed slot [p-1], giving at most one slot of
-          run-ahead (it still beats strict lockstep: followers need not
-          have {e arrived} at [p] before the leader executes it). *)
+          mode.  Must be ≥ 1: followers only consume released slots, so
+          capacity 0 would deadlock and is rejected at [run_*] entry.
+          Capacity 1 is the tightest legal ring: at most one slot of
+          run-ahead (still better than strict lockstep: followers need not
+          have {e arrived} at slot [p] before the leader executes it).
+          This bounds run-ahead, not memory: slot rings and order lists
+          are reclaimed behind the slowest live cursor and its
+          [recorder_depth] window ([Restart_once] aside, see {!recovery}). *)
   checkin_cost : float;     (** µs to publish args/results into a slot *)
   fetch_cost : float;       (** µs for a follower to consume a slot *)
   synccall_cost : float;    (** µs per weak-determinism ordering operation *)
@@ -101,10 +103,11 @@ type config = {
       (** §3.3's poisoned-page mechanism: copy externally-shared mapped
           content from the leader to followers on access *)
   recorder_depth : int;
-      (** slots retained per (channel, variant) by the divergence flight
-          recorder (default 16).  The recorder is always on — recording is
-          allocation-free, like the report histograms — and feeds the
-          {!report.incident} blame attribution on abort.  Must be ≥ 1. *)
+      (** records per (channel, variant) in the divergence flight
+          recorder's window (default 16), kept in the slot ring: no slot in
+          a live variant's window is reclaimed, and a retired follower's
+          window is kept as it was.  Always on and allocation-free; feeds
+          {!report.incident}.  Must be ≥ 1. *)
   telemetry : Bunshin_telemetry.Telemetry.sink option;
       (** attach a trace sink: the engine opens an ["nxe"] clock domain
           (machine µs) with one track per (channel, variant), records

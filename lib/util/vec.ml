@@ -19,9 +19,3 @@ let check t i = if i < 0 || i >= t.len then invalid_arg "Vec: index out of range
 let get t i =
   check t i;
   t.data.(i)
-
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
-let to_list t = List.init t.len (fun i -> t.data.(i))

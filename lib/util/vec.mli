@@ -7,6 +7,3 @@ val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument on out-of-range index. *)
-
-val set : 'a t -> int -> 'a -> unit
-val to_list : 'a t -> 'a list

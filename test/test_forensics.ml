@@ -1,55 +1,18 @@
-(* Tests for Bunshin_forensics: flight-recorder tape semantics, majority-vote
-   blame attribution, mismatch classification, check-site attribution for
-   real sanitizer detections, and the incident JSON round trip. *)
+(* Tests for Bunshin_forensics: majority-vote blame attribution, mismatch
+   classification, check-site attribution for real sanitizer detections,
+   and the incident JSON round trip.  The flight-recorder windows live in
+   the NXE's slot ring and are tested there (test_nxe.ml, "recorder"). *)
 
 open Bunshin_ir
 module B = Builder
 module San = Bunshin_sanitizer.Sanitizer
 module Inst = Bunshin_sanitizer.Instrument
-module Sc = Bunshin_syscall.Syscall
 module F = Bunshin_forensics.Forensics
 
 let rec_ ?(pos = 0) ?(time = 0.0) name args =
   { F.r_pos = pos; r_name = name; r_args = args; r_time = time }
 
 let issued ?pos ?time name args = F.Issued (rec_ ?pos ?time name args)
-
-(* ------------------------------------------------------------------ *)
-(* Flight recorder *)
-
-let test_tape_retention () =
-  let t = F.Tape.create ~depth:3 in
-  Alcotest.(check int) "depth" 3 (F.Tape.depth t);
-  for i = 0 to 4 do
-    F.Tape.record t ~pos:i ~time:(float_of_int i)
-      (Sc.write ~args:[ 1L; Int64.of_int i ] ())
-  done;
-  Alcotest.(check int) "recorded counts everything" 5 (F.Tape.recorded t);
-  let retained = F.Tape.to_list t in
-  Alcotest.(check (list int)) "last 3 retained, oldest first" [ 2; 3; 4 ]
-    (List.map (fun r -> r.F.r_pos) retained);
-  List.iter
-    (fun r ->
-      Alcotest.(check string) "name kept" "write" r.F.r_name;
-      Alcotest.(check (list int64)) "args kept" [ 1L; Int64.of_int r.F.r_pos ]
-        r.F.r_args;
-      Alcotest.(check (float 0.0)) "time kept" (float_of_int r.F.r_pos) r.F.r_time)
-    retained
-
-let test_tape_find () =
-  let t = F.Tape.create ~depth:2 in
-  for i = 0 to 3 do
-    F.Tape.record t ~pos:i ~time:0.0 (Sc.write ~args:[ Int64.of_int i ] ())
-  done;
-  Alcotest.(check bool) "evicted slot gone" true (F.Tape.find t ~pos:0 = None);
-  (match F.Tape.find t ~pos:3 with
-   | Some r -> Alcotest.(check (list int64)) "retained slot found" [ 3L ] r.F.r_args
-   | None -> Alcotest.fail "slot 3 should be retained")
-
-let test_tape_bad_depth () =
-  Alcotest.check_raises "depth 0 rejected"
-    (Invalid_argument "Forensics.Tape.create: depth must be >= 1") (fun () ->
-      ignore (F.Tape.create ~depth:0))
 
 (* ------------------------------------------------------------------ *)
 (* Blame attribution *)
@@ -279,12 +242,6 @@ let test_json_rejects_garbage () =
 let () =
   Alcotest.run "bunshin_forensics"
     [
-      ( "tape",
-        [
-          Alcotest.test_case "retention window" `Quick test_tape_retention;
-          Alcotest.test_case "find by position" `Quick test_tape_find;
-          Alcotest.test_case "bad depth" `Quick test_tape_bad_depth;
-        ] );
       ( "blame",
         [
           Alcotest.test_case "majority of 3" `Quick test_blame_majority_3;

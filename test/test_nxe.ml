@@ -516,6 +516,287 @@ let prop_strict_selective_same_verdict =
       let l = verdict (run Nxe.selective) in
       s = l)
 
+(* ------------------------------------------------------------------ *)
+(* Flight recorder: windows over the slot ring *)
+
+module F = Bunshin_forensics.Forensics
+module Faults = Bunshin_faults.Faults
+module Cluster = Bunshin_cluster.Cluster
+
+let positions tape = List.map (fun (r : F.syscall_rec) -> r.F.r_pos) tape
+
+let incident_of r =
+  match r.Nxe.incident with Some inc -> inc | None -> Alcotest.fail "no incident filed"
+
+(* n identical [write(1, i)] streams; [bad] rewrites one variant's slot. *)
+let stream ?(bad = fun _ _ -> None) ~len n =
+  List.init n (fun v ->
+      List.concat
+        (List.init len (fun i ->
+             let args = match bad v i with Some a -> a | None -> [ 1L; Int64.of_int i ] in
+             [ work (2.0 +. float_of_int v); wr ~args () ])))
+
+let fault_policy policy = { Nxe.policy; heartbeat_timeout = infinity; restart_backoff = 50.0 }
+
+let test_window_retention () =
+  (* The window is the last [recorder_depth] records, oldest first, with
+     the recorded syscalls and times; the follower's latest record is its
+     own divergent syscall. *)
+  let r =
+    Nxe.run_traces
+      ~config:{ Nxe.default_config with recorder_depth = 3 }
+      ~names:(names 2)
+      (stream ~len:40 2 ~bad:(fun v i -> if v = 1 && i = 30 then Some [ 1L; 999L ] else None))
+  in
+  let inc = incident_of r in
+  Alcotest.(check int) "position" 30 inc.F.inc_position;
+  Array.iter
+    (fun tape -> Alcotest.(check (list int)) "last 3 retained" [ 28; 29; 30 ] (positions tape))
+    inc.F.inc_tapes;
+  List.iter
+    (fun (r : F.syscall_rec) ->
+      Alcotest.(check string) "name kept" "write" r.F.r_name;
+      if r.F.r_pos < 30 then
+        Alcotest.(check (list int64)) "ring syscall" [ 1L; Int64.of_int r.F.r_pos ] r.F.r_args;
+      Alcotest.(check bool) "time kept" true (r.F.r_time > 0.0))
+    inc.F.inc_tapes.(1);
+  Alcotest.(check (list int64)) "own divergent syscall last" [ 1L; 999L ]
+    (List.nth inc.F.inc_tapes.(1) 2).F.r_args
+
+let test_window_lookup () =
+  (* Selective run-ahead: the leader executes reads past the slot a
+     follower diverges on.  Its vote there is outside its last records, so
+     it comes from the ring with time 0.0; the follower's own vote is in
+     its window, which the ring kept although the leader ran ahead. *)
+  let mk v =
+    List.concat
+      (List.init 300 (fun i ->
+           let x = if v = 1 && i = 200 then 999L else Int64.of_int i in
+           [ work (if v = 0 then 1.0 else 9.0); rd ~args:[ 3L; x ] () ]))
+  in
+  let r =
+    Nxe.run_traces
+      ~config:{ Nxe.selective with recorder_depth = 4; ring_capacity = 8 }
+      ~names:(names 2) [ mk 0; mk 1 ]
+  in
+  let inc = incident_of r in
+  Alcotest.(check int) "position" 200 inc.F.inc_position;
+  (match inc.F.inc_votes.(0) with
+   | F.Issued r ->
+     Alcotest.(check (list int64)) "leader vote from the ring" [ 3L; 200L ] r.F.r_args;
+     Alcotest.(check (float 0.0)) "outside its window: time 0.0" 0.0 r.F.r_time
+   | _ -> Alcotest.fail "leader should have issued the slot");
+  (match inc.F.inc_votes.(1) with
+   | F.Issued r ->
+     Alcotest.(check (list int64)) "follower's own syscall" [ 3L; 999L ] r.F.r_args;
+     Alcotest.(check bool) "recorded time" true (r.F.r_time > 0.0)
+   | _ -> Alcotest.fail "follower should have issued the slot");
+  Alcotest.(check (list int)) "follower window kept by the watermark" [ 197; 198; 199; 200 ]
+    (positions inc.F.inc_tapes.(1));
+  let lead = positions inc.F.inc_tapes.(0) in
+  Alcotest.(check int) "leader window holds 4 records" 4 (List.length lead);
+  Alcotest.(check bool) "leader window ran ahead" true (List.hd lead > 200)
+
+let test_window_bad_depth () =
+  Alcotest.check_raises "depth 0 rejected"
+    (Invalid_argument "Nxe.run_traces: recorder_depth must be >= 1") (fun () ->
+      ignore
+        (Nxe.run_traces ~config:{ Nxe.default_config with recorder_depth = 0 } ~names:(names 2)
+           (stream ~len:2 2)))
+
+let test_window_frozen_after_quarantine () =
+  (* Multi-channel run: v1 dies early and is quarantined, the survivors
+     run long enough for the root ring to reclaim far past v1's window,
+     then v2 diverges on the root channel.  v1's window in the fatal
+     incident is the one it had when it retired. *)
+  let worker = List.concat (List.init 50 (fun i -> [ work 2.0; wr ~args:[ 2L; Int64.of_int i ] () ])) in
+  let traces = List.map (fun t -> Trace.Spawn worker :: t) (stream ~len:400 3) in
+  let faults =
+    Faults.make
+      [
+        { Faults.i_variant = 1; i_at = 3; i_kind = Faults.Die };
+        { Faults.i_variant = 2; i_at = 350; i_kind = Faults.Corrupt { c_arg = 1; c_delta = 5L } };
+      ]
+  in
+  let r =
+    Nxe.run_traces
+      ~config:{ Nxe.default_config with fault_policy = fault_policy Nxe.Quarantine }
+      ~faults ~names:(names 3) traces
+  in
+  let fault_inc =
+    match r.Nxe.fault_incidents with [ i ] -> i | _ -> Alcotest.fail "one quarantine expected"
+  in
+  let inc = incident_of r in
+  Alcotest.(check int) "quarantine filed on the root channel" 0 fault_inc.F.inc_channel;
+  Alcotest.(check int) "divergence on the root channel" 0 inc.F.inc_channel;
+  Alcotest.(check bool) "far past the retired window" true (inc.F.inc_position >= 250);
+  Alcotest.(check bool) "retired window not empty" true (fault_inc.F.inc_tapes.(1) <> []);
+  Alcotest.(check bool) "retired window frozen" true
+    (inc.F.inc_tapes.(1) = fault_inc.F.inc_tapes.(1));
+  Alcotest.(check bool) "retired follower votes Exited" true (inc.F.inc_votes.(1) = F.Exited);
+  Alcotest.(check bool) "majority still blames v2" true (inc.F.inc_blamed = 2)
+
+let test_window_skips_signal_delivery () =
+  (* A signal delivered mid-stream: the leader records the delivery slot,
+     the follower consumes it without issuing it, so its window of the
+     same depth reaches one slot further back. *)
+  let handler = [ work 1.0; wr ~args:[ 2L; 1L ] () ] in
+  let r =
+    Nxe.run_traces
+      ~config:{ Nxe.default_config with recorder_depth = 6 }
+      ~signals:[ (60.0, handler) ]
+      ~names:(names 2)
+      (stream ~len:30 2 ~bad:(fun v i -> if v = 1 && i = 14 then Some [ 1L; 999L ] else None))
+  in
+  let inc = incident_of r in
+  let lead = inc.F.inc_tapes.(0) and fol = inc.F.inc_tapes.(1) in
+  Alcotest.(check int) "leader depth" 6 (List.length lead);
+  Alcotest.(check int) "follower depth" 6 (List.length fol);
+  let sig_pos =
+    List.filter_map
+      (fun (r : F.syscall_rec) -> if r.F.r_name = "signal_delivery" then Some r.F.r_pos else None)
+      lead
+  in
+  (match sig_pos with
+   | [ p ] ->
+     Alcotest.(check bool) "follower skips the delivery slot" false
+       (List.mem p (positions fol));
+     Alcotest.(check bool) "follower window spans it" true (List.hd (positions fol) < p)
+   | _ -> Alcotest.fail "expected one delivery slot in the leader's window");
+  Alcotest.(check int) "windows end at the divergence" inc.F.inc_position
+    (List.nth (positions fol) 5)
+
+let test_two_followers_diverge_tie () =
+  (* Both followers corrupt the same slot differently: no two votes
+     agree, so blame stays a tie on the flagged follower. *)
+  let faults =
+    Faults.make
+      [
+        { Faults.i_variant = 1; i_at = 25; i_kind = Faults.Corrupt { c_arg = 1; c_delta = 5L } };
+        { Faults.i_variant = 2; i_at = 25; i_kind = Faults.Corrupt { c_arg = 1; c_delta = 7L } };
+      ]
+  in
+  let r = Nxe.run_traces ~faults ~names:(names 3) (stream ~len:40 3) in
+  let inc = incident_of r in
+  Alcotest.(check bool) "tie" true (inc.F.inc_basis = F.Tie);
+  Alcotest.(check int) "position" 25 inc.F.inc_position;
+  match r.Nxe.outcome with
+  | `Aborted a ->
+    Alcotest.(check int) "flagged follower blamed" a.Nxe.al_variant inc.F.inc_blamed;
+    let own = List.nth (List.rev inc.F.inc_tapes.(a.Nxe.al_variant)) 0 in
+    Alcotest.(check int) "flagged window ends at the slot" 25 own.F.r_pos;
+    Alcotest.(check bool) "own corrupted syscall" true (own.F.r_args <> [ 1L; 25L ])
+  | `All_finished -> Alcotest.fail "expected an abort"
+
+let test_window_extra_past_exit () =
+  (* A follower's extra syscall past the leader's exit has no ring slot:
+     its window ends with that record, the leader votes Exited. *)
+  let r =
+    Nxe.run_traces ~names:(names 2)
+      [ List.hd (stream ~len:20 1); List.hd (stream ~len:20 1) @ [ wr ~args:[ 5L; 5L ] () ] ]
+  in
+  let inc = incident_of r in
+  Alcotest.(check int) "position" 20 inc.F.inc_position;
+  Alcotest.(check bool) "leader exited" true (inc.F.inc_votes.(0) = F.Exited);
+  let last = List.nth inc.F.inc_tapes.(1) (List.length inc.F.inc_tapes.(1) - 1) in
+  Alcotest.(check int) "extra record past the ring" 20 last.F.r_pos;
+  Alcotest.(check (list int64)) "its own syscall" [ 5L; 5L ] last.F.r_args;
+  Alcotest.(check (list int)) "leader window" (List.init 16 (fun i -> 4 + i))
+    (positions inc.F.inc_tapes.(0))
+
+let test_window_restart_catch_up () =
+  (* v1 dies at its 3rd syscall and is respawned; replaying from slot 0 it
+     diverges at slot 6.  Its window holds only the records of the
+     restarted run. *)
+  let faults =
+    Faults.make
+      [
+        { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Die };
+        { Faults.i_variant = 1; i_at = 6; i_kind = Faults.Corrupt { c_arg = 1; c_delta = 5L } };
+      ]
+  in
+  let r =
+    Nxe.run_traces
+      ~config:{ Nxe.default_config with fault_policy = fault_policy Nxe.Restart_once }
+      ~faults ~names:(names 3) (stream ~len:30 3)
+  in
+  let inc = incident_of r in
+  Alcotest.(check int) "blamed the restarted follower" 1 inc.F.inc_blamed;
+  Alcotest.(check int) "position" 6 inc.F.inc_position;
+  Alcotest.(check (list int)) "catch-up records only" [ 0; 1; 2; 3; 4; 5; 6 ]
+    (positions inc.F.inc_tapes.(1))
+
+(* ------------------------------------------------------------------ *)
+(* Soak: the engine's memory stays flat with run length *)
+
+(* Words the engine allocates straight into the major heap (the ring's
+   columns once they outgrow the minor heap; promotions are excluded).
+   Full collections on both sides keep a major cycle in flight from
+   skewing the counters. *)
+let direct_major_words f =
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  Gc.full_major ();
+  let s1 = Gc.quick_stat () in
+  (r, s1.Gc.major_words -. s1.Gc.promoted_words -. (s0.Gc.major_words -. s0.Gc.promoted_words))
+
+(* [k] syncs, each a write or read under a lock, so the weak-determinism
+   order list grows one entry per sync too.  The syscall values are
+   shared, so the trace costs three list cells per sync. *)
+let soak_trace k =
+  let w = Sc.write ~args:[ 1L; 64L ] () and r = Sc.read ~args:[ 3L; 64L ] () in
+  List.concat
+    (List.init k (fun i -> [ Trace.Lock 0; Trace.Sys (if i mod 4 = 0 then w else r); Trace.Unlock 0 ]))
+
+(* A warm-up run, then a short and a long run: the long one may allocate
+   no more than a small constant more directly in the major heap (slot
+   columns that double and are never reclaimed grow ~20 words per sync
+   here). *)
+let check_flat ~short ~long run =
+  ignore (run (soak_trace 1000));
+  let measure k =
+    let trace = soak_trace k in
+    let synced, words = direct_major_words (fun () -> run trace) in
+    Alcotest.(check int) "every sync published" k synced;
+    words
+  in
+  let ws = measure short in
+  let wl = measure long in
+  Alcotest.(check bool)
+    (Printf.sprintf "direct major words flat: %.0f at %d syncs, %.0f at %d" ws short wl long)
+    true
+    (wl -. ws < 4096.0)
+
+let test_soak_strict () =
+  check_flat ~short:100_000 ~long:1_000_000 (fun t ->
+      let r = Nxe.run_traces ~names:(names 2) [ t; t ] in
+      Alcotest.(check bool) "finished" true (finished r);
+      Alcotest.(check int) "order list covered" r.Nxe.synced_syscalls r.Nxe.order_list_length;
+      r.Nxe.synced_syscalls)
+
+let test_soak_replicated () =
+  check_flat ~short:20_000 ~long:200_000 (fun t ->
+      let config =
+        { Cluster.default_config with nodes = 2; ship = Cluster.Selective_replicated }
+      in
+      let r = Cluster.run_traces ~config ~names:(names 3) [ t; t; t ] in
+      Alcotest.(check bool) "finished" true (r.Cluster.outcome = `All_finished);
+      r.Cluster.synced_syscalls)
+
+let test_soak_quarantine () =
+  (* The quarantined follower's cursor stops early; it must not pin the
+     ring or the order list. *)
+  check_flat ~short:20_000 ~long:200_000 (fun t ->
+      let r =
+        Nxe.run_traces
+          ~config:{ Nxe.selective with fault_policy = fault_policy Nxe.Quarantine }
+          ~faults:(Faults.make [ { Faults.i_variant = 1; i_at = 10; i_kind = Faults.Die } ])
+          ~names:(names 3) [ t; t; t ]
+      in
+      Alcotest.(check (list int)) "v1 quarantined" [ 1 ] (Nxe.quarantined_variants r);
+      r.Nxe.synced_syscalls)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -571,6 +852,23 @@ let () =
           Alcotest.test_case "daemon children independent" `Quick test_daemon_style_processes_independent;
         ] );
       ("scalability", [ Alcotest.test_case "monotone in N" `Quick test_more_variants_more_overhead ]);
+      ( "recorder",
+        [
+          Alcotest.test_case "window retention" `Quick test_window_retention;
+          Alcotest.test_case "window lookup" `Quick test_window_lookup;
+          Alcotest.test_case "bad depth" `Quick test_window_bad_depth;
+          Alcotest.test_case "frozen after quarantine" `Quick test_window_frozen_after_quarantine;
+          Alcotest.test_case "skips signal delivery" `Quick test_window_skips_signal_delivery;
+          Alcotest.test_case "two followers tie" `Quick test_two_followers_diverge_tie;
+          Alcotest.test_case "extra past exit" `Quick test_window_extra_past_exit;
+          Alcotest.test_case "restart catch-up" `Quick test_window_restart_catch_up;
+        ] );
+      ( "soak",
+        [
+          Alcotest.test_case "strict 1e6 syncs flat" `Slow test_soak_strict;
+          Alcotest.test_case "replicated 2e5 syncs flat" `Slow test_soak_replicated;
+          Alcotest.test_case "quarantine 2e5 syncs flat" `Slow test_soak_quarantine;
+        ] );
       ( "properties",
         qcheck
           [
