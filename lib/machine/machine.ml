@@ -254,6 +254,11 @@ type _ Effect.t +=
 
 exception Deadlock of string
 
+(* The event heap holds at most one event per thread, so a short run's
+   handful of threads fits the initial columns; both heaps double on
+   demand, and the timer heap is only allocated by the first [post]. *)
+let heap_initial = 8
+
 let create ?(config = default_config) ?telemetry () =
   if config.cores < 1 then invalid_arg "Machine.create: need at least one core";
   let tel =
@@ -278,14 +283,14 @@ let create ?(config = default_config) ?telemetry () =
   in
   {
     cfg = config;
-    h_time = Array.make 64 0.0;
-    h_key = Array.make 64 0;
-    h_th = Array.make 64 dummy_thread;
+    h_time = Array.make heap_initial 0.0;
+    h_key = Array.make heap_initial 0;
+    h_th = Array.make heap_initial dummy_thread;
     h_len = 0;
     h_next_seq = 0;
-    tm_time = Array.make 8 0.0;
-    tm_seq = Array.make 8 0;
-    tm_fn = Array.make 8 ignore;
+    tm_time = [||];
+    tm_seq = [||];
+    tm_fn = [||];
     tm_len = 0;
     tm_next_seq = 0;
     progress = false;
@@ -398,8 +403,7 @@ let timer_swap t i j =
   t.tm_fn.(j) <- fn
 
 let timer_grow t =
-  let cap = Array.length t.tm_time in
-  let ncap = 2 * cap in
+  let ncap = max heap_initial (2 * Array.length t.tm_time) in
   let time = Array.make ncap 0.0
   and seq = Array.make ncap 0
   and fn = Array.make ncap ignore in

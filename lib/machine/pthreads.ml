@@ -2,27 +2,30 @@ type lock_state = { mutable held : bool; lq : Machine.Waitq.t }
 
 type barrier_state = { mutable arrived : int; bq : Machine.Waitq.t }
 
+(* Both tables are created on first use: most processes never lock. *)
 type t = {
-  locks : (int, lock_state) Hashtbl.t;
-  barriers : (int, barrier_state) Hashtbl.t;
+  locks : (int, lock_state) Hashtbl.t Lazy.t;
+  barriers : (int, barrier_state) Hashtbl.t Lazy.t;
 }
 
-let create () = { locks = Hashtbl.create 8; barriers = Hashtbl.create 4 }
+let create () = { locks = lazy (Hashtbl.create 8); barriers = lazy (Hashtbl.create 4) }
 
 let get_lock t id =
-  match Hashtbl.find_opt t.locks id with
+  let locks = Lazy.force t.locks in
+  match Hashtbl.find_opt locks id with
   | Some l -> l
   | None ->
     let l = { held = false; lq = Machine.Waitq.create () } in
-    Hashtbl.replace t.locks id l;
+    Hashtbl.replace locks id l;
     l
 
 let get_barrier t id =
-  match Hashtbl.find_opt t.barriers id with
+  let barriers = Lazy.force t.barriers in
+  match Hashtbl.find_opt barriers id with
   | Some b -> b
   | None ->
     let b = { arrived = 0; bq = Machine.Waitq.create () } in
-    Hashtbl.replace t.barriers id b;
+    Hashtbl.replace barriers id b;
     b
 
 let lock m t id =

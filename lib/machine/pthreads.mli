@@ -7,6 +7,8 @@
 type t
 
 val create : unit -> t
+(** An empty namespace; its lock and barrier tables are allocated by the
+    first {!lock} or {!barrier}. *)
 
 val lock : Machine.t -> t -> int -> unit
 (** Acquire mutex [id] (created on first use), blocking while held. *)

@@ -265,6 +265,16 @@ let sc_signal_delivery = Sc.make "signal_delivery"
 let sc_clone_cost = Sc.base_cost (Sc.clone_thread ())
 let sc_fork_cost = Sc.base_cost (Sc.fork ())
 
+(* Bucket layouts of the always-on histograms, normalised once here rather
+   than on every run: gap in ring slots, waits in machine us. *)
+let gap_layout = Tel.Hist.layout [ 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]
+
+let wait_layout =
+  Tel.Hist.layout [ 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 5000. ]
+
+let heartbeat_layout =
+  Tel.Hist.layout [ 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000.; 10000. ]
+
 (* A bounded ring retains the stream positions [lo, len) at index
    [pos land mask].  Every slot and order-list access goes through [idx]:
    a reclaimed position fails loudly instead of aliasing a newer entry. *)
@@ -420,6 +430,16 @@ type remote = {
   mutable t_order : int;
 }
 
+(* One process of one variant: its machine proc and its private state.
+   The lock/barrier tables and the shared counters (shared-memory state
+   whose update order is what weak determinism exists to replicate) are
+   created on first use, and dropped when the variant restarts. *)
+type pctx = {
+  proc : M.proc;
+  mutable pth : Pthreads.t;
+  mutable cnts : (int, int64 ref) Hashtbl.t Lazy.t;
+}
+
 (* Trace handle: present only when [config.telemetry] is set.  The
    histograms below are NOT here — they are always-on (they feed
    [report.histograms]) so enabling tracing cannot change the report. *)
@@ -456,11 +476,7 @@ type t = {
   mutable all_dets : det list;
   chan_reg : (string, chan) Hashtbl.t;           (* channel path -> chan *)
   det_reg : (string, det) Hashtbl.t;             (* proc path -> det *)
-  pth_reg : (string * int, Pthreads.t) Hashtbl.t; (* (proc path, variant) *)
-  cnt_reg : (string * int, (int, int64 ref) Hashtbl.t) Hashtbl.t;
-  (* shared counters per (proc path, variant): shared-memory state whose
-     update order is what weak determinism exists to replicate *)
-  proc_reg : (string * int, M.proc) Hashtbl.t;   (* (proc path, variant) *)
+  proc_reg : (string * int, pctx) Hashtbl.t;   (* (proc path, variant) *)
   mutable synced : int;
   mutable locksteps : int;
   mutable gap_sum : float;
@@ -704,22 +720,20 @@ let get_det nxe path =
       nxe.all_dets <- d :: nxe.all_dets;
       d)
 
-(* Counter interning: the (proc path, variant) -> table lookup — a tuple
-   allocation plus a string hash — happens once per thread at executor
-   entry; per-op access is then an int-keyed lookup on the resolved
-   table. *)
-let counter_table nxe path variant =
-  intern nxe.cnt_reg (path, variant) (fun () -> Hashtbl.create 4)
-
-let counter_ref (tbl : (int, int64 ref) Hashtbl.t) id = intern tbl id (fun () -> ref 0L)
-let get_pth nxe path variant = intern nxe.pth_reg (path, variant) Pthreads.create
+(* A shared counter of the process: an int-keyed lookup on a table the
+   executor already holds, never a (proc path, variant) registry probe. *)
+let counter_ref pc id = intern (Lazy.force pc.cnts) id (fun () -> ref 0L)
+let new_counters () = lazy (Hashtbl.create 4)
 
 let get_proc nxe path variant =
   intern nxe.proc_reg (path, variant) (fun () ->
-      M.new_proc (machine_of nxe variant)
-        ~cache_sensitivity:nxe.sensitivities.(variant)
-        ~name:(Printf.sprintf "%s:%s" nxe.names.(variant) path)
-        ~working_set:nxe.working_sets.(variant) ())
+      let proc =
+        M.new_proc (machine_of nxe variant)
+          ~cache_sensitivity:nxe.sensitivities.(variant)
+          ~name:(nxe.names.(variant) ^ ":" ^ path)
+          ~working_set:nxe.working_sets.(variant) ()
+      in
+      { proc; pth = Pthreads.create (); cnts = new_counters () })
 
 (* ------------------------------------------------------------------ *)
 (* Shipping: outboxes, flushes and delivery callbacks.  Only reached
@@ -1060,7 +1074,7 @@ let expected_at chan pos =
 
 let cancel_variant nxe variant =
   Hashtbl.iter
-    (fun (_, v) proc -> if v = variant then M.cancel_proc (machine_of nxe variant) proc)
+    (fun (_, v) pc -> if v = variant then M.cancel_proc (machine_of nxe variant) pc.proc)
     nxe.proc_reg
 
 let quarantine nxe ~variant ~cause =
@@ -1759,14 +1773,11 @@ and do_sys nxe ~variant ~chan sc =
 (* ------------------------------------------------------------------ *)
 (* Thread executor *)
 
-let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () =
+let rec exec_ops nxe ~variant ~chan ~ppath ~pc ~det ~in_main_init ops () =
   let m = machine_of nxe variant in
   let in_main = ref in_main_init in
   let spawn_count = ref 0 in
   let fork_count = ref 0 in
-  (* Resolved once per thread: shared-counter ops below touch only the
-     int-keyed table, never the string-keyed registry. *)
-  let cnts = counter_table nxe ppath variant in
   List.iter
     (fun op ->
       if (not (aborted nxe)) && not nxe.v_dead.(variant) then
@@ -1782,10 +1793,10 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
           (* An unguarded shared write: the interleaving across this
              variant's threads decides the value later syscalls expose. *)
           M.compute m 0.05;
-          let r = counter_ref cnts id in
+          let r = counter_ref pc id in
           r := Int64.add !r 1L
         | Trace.Sys_shared (sc, id) ->
-          let v = !(counter_ref cnts id) in
+          let v = !(counter_ref pc id) in
           let sc = Sc.with_args sc (sc.Sc.args @ [ v ]) in
           if !in_main && Sc.is_synchronized sc then do_sys nxe ~variant ~chan sc
           else ph_compute m Pr.Phase.Syscall_service (Sc.base_cost sc)
@@ -1796,9 +1807,9 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
              leader -> followers like a syscall result; otherwise the
              follower reads its stale local copy. *)
           M.compute m 2.0 (* page-fault / access cost *);
-          let dst = counter_ref cnts counter in
+          let dst = counter_ref pc counter in
           if variant = 0 then begin
-            let reads = counter_ref cnts (1000 + region) in
+            let reads = counter_ref pc (1000 + region) in
             reads := Int64.add !reads 1L;
             let world = Int64.add (Int64.mul !reads 7L) (Int64.of_int region) in
             dst := world;
@@ -1814,16 +1825,16 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
           else dst := 0L (* stale local copy *)
         | Trace.Lock id ->
           det_order_op nxe det ~variant ~chan;
-          pth_wait m (fun () -> Pthreads.lock m pth id)
-        | Trace.Unlock id -> Pthreads.unlock m pth id
+          pth_wait m (fun () -> Pthreads.lock m pc.pth id)
+        | Trace.Unlock id -> Pthreads.unlock m pc.pth id
         | Trace.Barrier (id, expected) ->
           det_order_op nxe det ~variant ~chan;
-          pth_wait m (fun () -> Pthreads.barrier m pth id expected)
+          pth_wait m (fun () -> Pthreads.barrier m pc.pth id expected)
         | Trace.Spawn sub ->
           let k = !spawn_count in
           incr spawn_count;
           ph_compute m Pr.Phase.Syscall_service sc_clone_cost;
-          let child = get_chan nxe (Printf.sprintf "%s/s%d" chan.ch_path k) in
+          let child = get_chan nxe (chan.ch_path ^ "/s" ^ string_of_int k) in
           (match nxe.tel with
            | Some tel ->
              Tel.Counter.incr tel.t_spawns;
@@ -1832,30 +1843,28 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
            | None -> ());
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
           ignore
-            (M.spawn m proc ~name:(Printf.sprintf "%s:t%s" nxe.names.(variant) child.ch_path)
-               (exec_ops nxe ~variant ~chan:child ~ppath ~proc ~pth ~det
-                  ~in_main_init:!in_main sub))
+            (M.spawn m pc.proc ~name:(nxe.names.(variant) ^ ":t" ^ child.ch_path)
+               (exec_ops nxe ~variant ~chan:child ~ppath ~pc ~det ~in_main_init:!in_main sub))
         | Trace.Fork sub ->
           let k = !fork_count in
           incr fork_count;
           ph_compute m Pr.Phase.Syscall_service sc_fork_cost;
           (* The child of the leader becomes the leader of the new execution
              group; followers' children become its followers (§3.3). *)
-          let cpath = Printf.sprintf "%s/f%d" ppath k in
-          let cproc = get_proc nxe cpath variant in
-          let cchan = get_chan nxe (Printf.sprintf "%s/f%d" chan.ch_path k) in
+          let cpath = ppath ^ "/f" ^ string_of_int k in
+          let cpc = get_proc nxe cpath variant in
+          let cchan = get_chan nxe (chan.ch_path ^ "/f" ^ string_of_int k) in
           (match nxe.tel with
            | Some tel ->
              Tel.Counter.incr tel.t_forks;
              Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
                ~args:[ ("group", cchan.ch_path) ] ~ts:(M.now m) ~cat:"nxe" "fork"
            | None -> ());
-          let cpth = get_pth nxe cpath variant in
           let cdet = get_det nxe cpath in
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
           ignore
-            (M.spawn m cproc ~name:(Printf.sprintf "%s:p%s" nxe.names.(variant) cpath)
-               (exec_ops nxe ~variant ~chan:cchan ~ppath:cpath ~proc:cproc ~pth:cpth ~det:cdet
+            (M.spawn m cpc.proc ~name:(nxe.names.(variant) ^ ":p" ^ cpath)
+               (exec_ops nxe ~variant ~chan:cchan ~ppath:cpath ~pc:cpc ~det:cdet
                   ~in_main_init:!in_main sub)))
     ops;
   (* Thread exit: channel end-of-stream bookkeeping. *)
@@ -2076,20 +2085,10 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       config.telemetry
   in
   (* Always-on: these feed [report.histograms], so they must not depend on
-     whether a sink is attached.  Gap is in ring slots, wait in machine us. *)
-  let h_gap =
-    Tel.Hist.create ~buckets:[ 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ] ()
-  in
-  let h_wait =
-    Tel.Hist.create
-      ~buckets:[ 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 5000. ]
-      ()
-  in
-  let h_heartbeat =
-    Tel.Hist.create
-      ~buckets:[ 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000.; 10000. ]
-      ()
-  in
+     whether a sink is attached. *)
+  let h_gap = Tel.Hist.of_layout gap_layout in
+  let h_wait = Tel.Hist.of_layout wait_layout in
+  let h_heartbeat = Tel.Hist.of_layout heartbeat_layout in
   (match config.telemetry with
    | Some sink ->
      ignore (Tel.register_hist sink "nxe.syscall_gap" h_gap);
@@ -2116,8 +2115,6 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       all_dets = [];
       chan_reg = Hashtbl.create 16;
       det_reg = Hashtbl.create 8;
-      pth_reg = Hashtbl.create 8;
-      cnt_reg = Hashtbl.create 8;
       proc_reg = Hashtbl.create 8;
       synced = 0;
       locksteps = 0;
@@ -2156,13 +2153,12 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
     List.exists (function Trace.Marker Trace.Main_entered -> true | _ -> false) trace
   in
   let spawn_main variant ~suffix =
-    let proc = get_proc nxe "root" variant in
-    let pth = get_pth nxe "root" variant in
+    let pc = get_proc nxe "root" variant in
     let trace = nxe.traces_arr.(variant) in
     ignore
-      (M.spawn (machine_of nxe variant) proc
-         ~name:(Printf.sprintf "%s:main%s" nxe.names.(variant) suffix)
-         (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
+      (M.spawn (machine_of nxe variant) pc.proc
+         ~name:(nxe.names.(variant) ^ ":main" ^ suffix)
+         (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~pc ~det:root_det
             ~in_main_init:(not (has_marker trace)) trace))
   in
   for variant = 0 to n - 1 do
@@ -2190,13 +2186,13 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
             c.frozen.(variant) <- None)
           nxe.all_chans;
         List.iter (fun d -> d.d_cursors.(variant - 1) <- 0) nxe.all_dets;
-        let keys tbl =
-          Hashtbl.fold
-            (fun ((_, v) as key) _ acc -> if v = variant then key :: acc else acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove nxe.pth_reg) (keys nxe.pth_reg);
-        List.iter (Hashtbl.remove nxe.cnt_reg) (keys nxe.cnt_reg);
+        Hashtbl.iter
+          (fun (_, v) pc ->
+            if v = variant then begin
+              pc.pth <- Pthreads.create ();
+              pc.cnts <- new_counters ()
+            end)
+          nxe.proc_reg;
         touch nxe variant;
         nxe.live_threads.(variant) <- 1;
         (match nxe.tel with
@@ -2251,16 +2247,16 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
      (* After an abort, threads stuck on application locks are "killed" by
         the monitor; any other deadlock is a real bug. *)
      if not (aborted nxe) then raise (M.Deadlock msg));
-  let per_variant_procs f init =
-    List.init n (fun v ->
-        Hashtbl.fold
-          (fun (_, v') proc acc -> if v' = v then f acc (machine_of nxe v) proc else acc)
-          nxe.proc_reg init)
-  in
-  let variant_finish =
-    per_variant_procs (fun acc m proc -> Float.max acc (M.proc_finish_time m proc)) 0.0
-  in
-  let variant_cpu = per_variant_procs (fun acc m proc -> acc +. M.proc_cpu_time m proc) 0.0 in
+  (* One pass over [proc_reg]: each variant's procs are visited in the
+     table's fold order, so the float sums are those of a per-variant
+     fold. *)
+  let variant_finish = Array.make n 0.0 and variant_cpu = Array.make n 0.0 in
+  Hashtbl.iter
+    (fun (_, v) pc ->
+      let m = machine_of nxe v in
+      variant_finish.(v) <- Float.max variant_finish.(v) (M.proc_finish_time m pc.proc);
+      variant_cpu.(v) <- variant_cpu.(v) +. M.proc_cpu_time m pc.proc)
+    nxe.proc_reg;
   let total_time =
     Array.fold_left (fun acc m -> Float.max acc (M.stats m).M.total_time) 0.0 machines
   in
@@ -2269,21 +2265,18 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
      is never in [proc_reg], so it cannot pollute any variant's totals). *)
   (match nxe.profile with
    | Some c ->
-     let vf = Array.of_list variant_finish and vc = Array.of_list variant_cpu in
+     let phases = Array.init n (fun _ -> Array.make M.phase_slots 0.0) in
+     let thread_time = Array.make n 0.0 in
+     Hashtbl.iter
+       (fun (_, v) pc ->
+         let m = machine_of nxe v in
+         let pp = M.proc_phases m pc.proc in
+         Array.iteri (fun i x -> phases.(v).(i) <- phases.(v).(i) +. x) pp;
+         thread_time.(v) <- thread_time.(v) +. M.proc_accounted_time m pc.proc)
+       nxe.proc_reg;
      for v = 0 to n - 1 do
-       let phases = Array.make M.phase_slots 0.0 in
-       let thread_time = ref 0.0 in
-       Hashtbl.iter
-         (fun (_, v') proc ->
-           if v' = v then begin
-             let m = machine_of nxe v in
-             let pp = M.proc_phases m proc in
-             Array.iteri (fun i x -> phases.(i) <- phases.(i) +. x) pp;
-             thread_time := !thread_time +. M.proc_accounted_time m proc
-           end)
-         nxe.proc_reg;
-       Pr.Collector.fill_variant c ~variant:v ~name:nxe.names.(v) ~wall:vf.(v)
-         ~thread_time:!thread_time ~cpu:vc.(v) phases
+       Pr.Collector.fill_variant c ~variant:v ~name:nxe.names.(v) ~wall:variant_finish.(v)
+         ~thread_time:thread_time.(v) ~cpu:variant_cpu.(v) phases.(v)
      done;
      Pr.Collector.fill_run c ~total_time
    | None -> ());
@@ -2322,8 +2315,8 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       outcome = (match nxe.failed with None -> `All_finished | Some a -> `Aborted a);
       incident;
       total_time;
-      variant_finish;
-      variant_cpu;
+      variant_finish = Array.to_list variant_finish;
+      variant_cpu = Array.to_list variant_cpu;
       synced_syscalls = nxe.synced;
       executed_syscalls = nxe.executed;
       lockstep_syscalls = nxe.locksteps;

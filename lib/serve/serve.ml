@@ -105,7 +105,8 @@ let validate cfg ~offered_rps ~requests =
     invalid_arg "Serve.run: offered_rps must be finite and > 0";
   if requests < 1 then invalid_arg "Serve.run: requests must be >= 1";
   if not (cfg.slo.Tel.Slo.slo_quantile > 0.0 && cfg.slo.Tel.Slo.slo_quantile < 100.0) then
-    invalid_arg "Serve.run: slo_quantile must be in (0, 100)"
+    invalid_arg "Serve.run: slo_quantile must be in (0, 100)";
+  pos_cost "slo_limit_us" cfg.slo.Tel.Slo.slo_limit_us
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes and report *)

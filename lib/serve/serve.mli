@@ -128,8 +128,8 @@ val run : ?config:config -> source -> offered_rps:float -> requests:int -> repor
 (** Serve [requests] open-loop arrivals at [offered_rps] through the
     pool.  Deterministic: equal arguments give equal reports.
     @raise Invalid_argument on a non-positive rate, request count,
-    pool/batch size, negative queue capacity or cost, or an SLO quantile
-    outside (0, 100). *)
+    pool/batch size, negative queue capacity or cost, an SLO quantile
+    outside (0, 100), or an SLO limit that is not finite and >= 0. *)
 
 val solo_report : ?config:config -> source -> req_id:int -> Nxe.report
 (** The same engine run request [req_id] gets inside the pool — same

@@ -39,8 +39,18 @@ module Gauge = struct
 end
 
 module Hist = struct
+  (* A normalised bucket layout, shared read-only by every histogram built
+     from it: the bounds, and the dump of an all-zero histogram as shared
+     suffixes ([zero_tail.(i)] is buckets i.. with zero counts), so a dump
+     only allocates up to its last non-empty bucket. *)
+  type layout = {
+    l_bounds : float array; (* sorted, strictly increasing, finite *)
+    l_zero_tail : (float * int) list array; (* length bounds + 2 *)
+  }
+
   type t = {
-    bounds : float array; (* sorted, strictly increasing, finite *)
+    bounds : float array;
+    zero_tail : (float * int) list array;
     counts : int array;   (* length bounds + 1; last entry is overflow *)
     mutable h_n : int;
     mutable h_sum : float;
@@ -51,21 +61,39 @@ module Hist = struct
   let default_buckets =
     [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. ]
 
-  let create ?(buckets = default_buckets) () =
+  let layout buckets =
     (* Normalize through Stats.histogram so bucketing here can never drift
        from the pure list-based version. *)
+    let zero = Stats.histogram ~buckets [] in
     let bounds =
-      Stats.histogram ~buckets []
-      |> List.filter_map (fun (b, _) -> if Float.is_finite b then Some b else None)
+      List.filter_map (fun (b, _) -> if Float.is_finite b then Some b else None) zero
     in
+    let k = List.length bounds in
+    let zero_tail = Array.make (k + 2) [] in
+    let rec suffixes i = function
+      | [] -> ()
+      | _ :: rest as l ->
+        zero_tail.(i) <- l;
+        suffixes (i + 1) rest
+    in
+    suffixes 0 zero;
+    { l_bounds = Array.of_list bounds; l_zero_tail = zero_tail }
+
+  let default_layout = layout default_buckets
+
+  let of_layout l =
     {
-      bounds = Array.of_list bounds;
-      counts = Array.make (List.length bounds + 1) 0;
+      bounds = l.l_bounds;
+      zero_tail = l.l_zero_tail;
+      counts = Array.make (Array.length l.l_bounds + 1) 0;
       h_n = 0;
       h_sum = 0.0;
       h_min = infinity;
       h_max = neg_infinity;
     }
+
+  let create ?buckets () =
+    of_layout (match buckets with None -> default_layout | Some b -> layout b)
 
   let observe h x =
     let k = Array.length h.bounds in
@@ -85,9 +113,20 @@ module Hist = struct
   let min_value h = if h.h_n = 0 then 0.0 else h.h_min
   let max_value h = if h.h_n = 0 then 0.0 else h.h_max
 
+  (* Buckets past the last non-empty one come from the layout's shared
+     zero suffix; empty buckets before it reuse the suffix's pairs. *)
   let dump h =
-    let k = Array.length h.bounds in
-    List.init k (fun i -> (h.bounds.(i), h.counts.(i))) @ [ (infinity, h.counts.(k)) ]
+    let last = ref (Array.length h.counts - 1) in
+    while !last >= 0 && h.counts.(!last) = 0 do
+      decr last
+    done;
+    let acc = ref h.zero_tail.(!last + 1) in
+    for i = !last downto 0 do
+      let c = h.counts.(i) in
+      let zero = List.hd h.zero_tail.(i) in
+      acc := (if c = 0 then zero else (fst zero, c)) :: !acc
+    done;
+    !acc
 
   (* Rank the same way Stats.percentile does (rank over n-1 intervals),
      then name the bucket holding that rank: the estimate sits at most
@@ -218,31 +257,32 @@ module Slo = struct
     advance w ~now;
     fold_buckets w (fun acc _ c -> acc + c) 0
 
-  let quantile w ~now p =
+  (* Every requested quantile from ONE cumulative pass over the windowed
+     buckets, as [Hist.quantiles] does: each result is the bound of the
+     first bucket whose running total passes the rank. *)
+  let quantiles w ~now ps =
     advance w ~now;
-    let n = fold_buckets w (fun acc _ c -> acc + c) 0 in
-    if n = 0 then 0.0
+    let k = Array.length w.sl_bounds in
+    let cum = Array.make (k + 1) 0 in
+    let n = fold_buckets w (fun acc b c -> cum.(b) <- acc + c; acc + c) 0 in
+    if n = 0 then List.map (fun _ -> 0.0) ps
     else begin
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (n - 1))) in
-      let rank = if rank < 0 then 0 else if rank > n - 1 then n - 1 else rank in
-      let k = Array.length w.sl_bounds in
       let live_max =
         Array.fold_left (fun acc m -> if m > acc then m else acc) neg_infinity w.sl_max
       in
-      let acc = ref 0 and res = ref live_max and found = ref false in
-      for b = 0 to k do
-        if not !found then begin
-          acc := !acc + fold_buckets w (fun a b' c -> if b' = b then a + c else a) 0;
-          if !acc > rank then begin
-            found := true;
-            res := (if b < k then w.sl_bounds.(b) else live_max)
-          end
-        end
-      done;
-      !res
+      List.map
+        (fun p ->
+          let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (n - 1))) in
+          let rank = if rank < 0 then 0 else if rank > n - 1 then n - 1 else rank in
+          let b = ref 0 in
+          while cum.(!b) <= rank do
+            incr b
+          done;
+          if !b < k then w.sl_bounds.(!b) else live_max)
+        ps
     end
 
-  let quantiles w ~now ps = List.map (fun p -> quantile w ~now p) ps
+  let quantile w ~now p = List.hd (quantiles w ~now [ p ])
 
   let bucket_width_at w x =
     let k = Array.length w.sl_bounds in

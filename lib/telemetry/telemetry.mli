@@ -120,8 +120,23 @@ module Hist : sig
   val default_buckets : float list
   (** A 1-2-5 log scale from 1 to 10^4 — suited to µs-scale latencies. *)
 
-  val create : ?buckets:float list -> unit -> t
+  type layout
+  (** Normalised bucket bounds, shared read-only by every histogram built
+      from them. *)
+
+  val layout : float list -> layout
   (** Bounds are sorted and deduplicated; non-finite bounds are rejected.
+      A caller that builds many histograms over one bucket list
+      normalises it once here and then uses {!of_layout}.
+      @raise Invalid_argument on an empty or non-finite bucket list. *)
+
+  val of_layout : layout -> t
+  (** A fresh, empty histogram: only the counts are allocated, and they
+      are never shared with another histogram. *)
+
+  val create : ?buckets:float list -> unit -> t
+  (** [of_layout (layout buckets)]; [buckets] defaults to
+      {!default_buckets}, whose layout is normalised once.
       @raise Invalid_argument on an empty or non-finite bucket list. *)
 
   val observe : t -> float -> unit
@@ -136,7 +151,8 @@ module Hist : sig
   val dump : t -> (float * int) list
   (** [(upper_bound, count)] per bucket, ending with the [(infinity, n)]
       overflow bucket — the same shape {!Bunshin_util.Stats.histogram}
-      returns. *)
+      returns.  Empty buckets are pairs shared with the layout, so a dump
+      allocates only up to its last non-empty bucket. *)
 
   val quantile : t -> float -> float
   (** [quantile h p] with [p] in [\[0,100\]]: the upper bound of the

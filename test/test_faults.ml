@@ -214,6 +214,31 @@ let test_restart_once_recovers () =
   Alcotest.(check int) "incident preserved" 1 (List.length r.Nxe.fault_incidents);
   Alcotest.(check (list string)) "coverage restored" [] r.Nxe.coverage_loss
 
+let test_restart_resets_locks_and_counters () =
+  (* v1 stalls inside a critical section, holding lock 1, after bumping
+     shared counter 7.  Its replay must start from a released lock and a
+     zero counter: a lock still held would hang the restart, a counter
+     carried over would put different arguments on every replayed read. *)
+  let trace =
+    List.concat
+      (List.init units (fun i ->
+           [
+             work 5.0;
+             Trace.Lock 1;
+             Trace.Incr 7;
+             Trace.Sys_shared (Sc.read ~args:[ 3L; Int64.of_int i ] (), 7);
+             Trace.Unlock 1;
+           ]))
+  in
+  let r =
+    Nxe.run_traces ~config:(config Nxe.Restart_once) ~faults:stall_v1 ~names:(names 3)
+      [ trace; trace; trace ]
+  in
+  Alcotest.(check bool) "group finished" true (finished r);
+  match List.nth r.Nxe.variant_status 1 with
+  | Nxe.Recovered _ -> ()
+  | _ -> Alcotest.fail "expected v1 Recovered"
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog off / defaults *)
 
@@ -309,6 +334,8 @@ let () =
           Alcotest.test_case "corruption always aborts" `Quick test_corrupt_aborts_under_any_policy;
           Alcotest.test_case "delay survives" `Quick test_delay_survives;
           Alcotest.test_case "restart once recovers" `Quick test_restart_once_recovers;
+          Alcotest.test_case "restart resets locks and counters" `Quick
+            test_restart_resets_locks_and_counters;
         ] );
       ( "watchdog",
         [

@@ -8,6 +8,8 @@ module Program = Bunshin_program.Program
 module San = Bunshin_sanitizer.Sanitizer
 module Cost = Bunshin_sanitizer.Cost_model
 module Nxe = Bunshin_nxe.Nxe
+module Serve = Bunshin_serve.Serve
+module Server = Bunshin_workloads.Server
 
 let work c = Trace.Work { func = "f"; cost = c }
 let wr ?(args = [ 1L; 64L ]) () = Trace.Sys (Sc.write ~args ())
@@ -797,6 +799,39 @@ let test_soak_quarantine () =
       Alcotest.(check (list int)) "v1 quarantined" [ 1 ] (Nxe.quarantined_variants r);
       r.Nxe.synced_syscalls)
 
+(* ------------------------------------------------------------------ *)
+(* Per-run allocation budget: a served request is one short run, so what
+   the engine allocates before and after the trace is paid per request. *)
+
+(* Minor words one run allocates, measured after a warm-up run (module
+   initialisation is not a per-run cost) and a minor collection. *)
+let minor_words_per_run f =
+  ignore (f ());
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let check_run_budget what ~budget f =
+  let w = minor_words_per_run f in
+  if w > budget then
+    Alcotest.failf "%s: %.0f minor words per run (budget %.0f)" what w budget
+
+let test_request_run_budget () =
+  let src =
+    Serve.jittered ~jitter:0.3 ~seed:7
+      (Serve.server_source ~n:3 Server.Lighttpd ~file_kb:1 ~connections:16)
+  in
+  let traces = src.Serve.src_request ~req_id:0 in
+  let run () = Nxe.run_traces ~config:Nxe.selective ~names:src.Serve.src_names traces in
+  Alcotest.(check int) "one request is 3 syncs" 3 (run ()).Nxe.synced_syscalls;
+  check_run_budget "jittered lighttpd request, 3 variants" ~budget:2600.0 run
+
+let test_work_only_run_budget () =
+  let t = [ work 10.0; work 5.0 ] in
+  check_run_budget "work-only run, 3 variants" ~budget:2000.0 (fun () ->
+      Nxe.run_traces ~config:Nxe.selective ~names:(names 3) [ t; t; t ])
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -862,6 +897,11 @@ let () =
           Alcotest.test_case "two followers tie" `Quick test_two_followers_diverge_tie;
           Alcotest.test_case "extra past exit" `Quick test_window_extra_past_exit;
           Alcotest.test_case "restart catch-up" `Quick test_window_restart_catch_up;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "request run allocation" `Quick test_request_run_budget;
+          Alcotest.test_case "work-only run allocation" `Quick test_work_only_run_budget;
         ] );
       ( "soak",
         [

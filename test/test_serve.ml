@@ -111,6 +111,24 @@ let test_run_validates_arguments () =
       Serve.run ~config:{ Serve.default_config with pool_capacity = 0 } s
         ~offered_rps:1e5 ~requests:10)
 
+let test_run_validates_slo_limit () =
+  (* A limit that is not a finite, non-negative latency would make the
+     breach fraction and burn rate silently meaningless. *)
+  let s = src () in
+  let with_limit l =
+    { Serve.default_config with slo = { Serve.default_config.slo with slo_limit_us = l } }
+  in
+  List.iter
+    (fun l ->
+      match Serve.run ~config:(with_limit l) s ~offered_rps:1e5 ~requests:10 with
+      | _ -> Alcotest.failf "slo_limit_us %h accepted" l
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "message" "Serve.run: slo_limit_us must be finite and >= 0" msg)
+    [ Float.nan; -1.0; infinity; neg_infinity ];
+  let r = Serve.run ~config:(with_limit 0.0) s ~offered_rps:1e5 ~requests:10 in
+  Alcotest.(check int) "a zero limit is a valid objective" 10
+    (r.Serve.sv_completed + r.Serve.sv_rejected + r.Serve.sv_faulted)
+
 let test_saturation_rejects_not_collapses () =
   (* Offered load far past the pool's capacity: the bounded queue must
      convert overload into rejections while the admitted requests keep a
@@ -275,6 +293,7 @@ let () =
           Alcotest.test_case "light load completes" `Quick test_run_all_completed_under_light_load;
           Alcotest.test_case "deterministic" `Quick test_run_deterministic;
           Alcotest.test_case "argument validation" `Quick test_run_validates_arguments;
+          Alcotest.test_case "slo limit validation" `Quick test_run_validates_slo_limit;
           Alcotest.test_case "saturation rejects" `Quick test_saturation_rejects_not_collapses;
           Alcotest.test_case "spawn and retire" `Quick test_groups_spawn_and_retire;
           Alcotest.test_case "poll batching" `Quick test_poll_batching_amortizes;

@@ -225,6 +225,50 @@ let test_hist_empty () =
   Alcotest.(check bool) "all buckets empty" true
     (List.for_all (fun (_, c) -> c = 0) (Tel.Hist.dump h))
 
+(* Bucket lists as callers write them: unsorted, with duplicates and
+   negatives; the half-integer grid makes samples land on bounds. *)
+let gen_buckets = QCheck.Gen.(map (List.map (fun i -> float_of_int i /. 2.0)) (list_size (1 -- 10) (-20 -- 40)))
+let gen_samples = QCheck.Gen.(map (List.map (fun i -> float_of_int i /. 2.0)) (list_size (0 -- 40) (-30 -- 60)))
+
+let show_floats l = String.concat ";" (List.map string_of_float l)
+
+let prop_layout_matches_stats =
+  QCheck.Test.make ~name:"hist: layout dump = Stats.histogram, counts never shared" ~count:300
+    (QCheck.make
+       ~print:(fun (b, x) -> Printf.sprintf "buckets [%s] samples [%s]" (show_floats b) (show_floats x))
+       QCheck.Gen.(pair gen_buckets gen_samples))
+    (fun (buckets, samples) ->
+      let l = Tel.Hist.layout buckets in
+      let h1 = Tel.Hist.of_layout l and h2 = Tel.Hist.of_layout l in
+      let empty_dump = Tel.Hist.dump h1 in
+      List.iter (Tel.Hist.observe h1) samples;
+      let h3 = Tel.Hist.create ~buckets () in
+      List.iter (Tel.Hist.observe h3) samples;
+      empty_dump = Stats.histogram ~buckets []
+      && Tel.Hist.dump h1 = Stats.histogram ~buckets samples
+      && Tel.Hist.dump h3 = Tel.Hist.dump h1
+      (* h2 shares h1's layout but none of its counts *)
+      && Tel.Hist.count h2 = 0
+      && Tel.Hist.dump h2 = empty_dump
+      && Tel.Hist.dump (Tel.Hist.of_layout l) = empty_dump)
+
+let test_layout_rejects_bad_buckets () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "empty layout" (fun () -> Tel.Hist.layout []);
+  rejects "empty create" (fun () -> Tel.Hist.create ~buckets:[] ());
+  rejects "empty Slo buckets" (fun () -> Tel.Slo.window ~buckets:[] ());
+  List.iter
+    (fun bad ->
+      let buckets = [ 1.0; bad; -2.0 ] in
+      rejects (Printf.sprintf "%h in layout" bad) (fun () -> Tel.Hist.layout buckets);
+      rejects (Printf.sprintf "%h in create" bad) (fun () -> Tel.Hist.create ~buckets ());
+      rejects (Printf.sprintf "%h in Slo" bad) (fun () -> Tel.Slo.window ~buckets ()))
+    [ Float.nan; infinity; neg_infinity ]
+
 let test_registry () =
   let sink = Tel.create () in
   let c = Tel.counter sink "hits" in
@@ -436,6 +480,107 @@ let test_slo_quantile_agrees_with_stats () =
     [ Slo.quantile w ~now 50.0; Slo.quantile w ~now 99.0 ]
     (Slo.quantiles w ~now [ 50.0; 99.0 ])
 
+(* The quadratic Slo.quantile this module shipped before the cumulative
+   pass, kept verbatim as the oracle: the per-bucket total is re-folded
+   over every sub-window for every bucket.  [counts.(s).(b)] and
+   [maxes.(s)] are the window's live contents, rebuilt from the samples. *)
+let slo_quantile_oracle ~bounds ~counts ~maxes p =
+  let k = Array.length bounds and subs = Array.length counts in
+  let fold_buckets f init =
+    let acc = ref init in
+    for b = 0 to k do
+      let c = ref 0 in
+      for s = 0 to subs - 1 do
+        c := !c + counts.(s).(b)
+      done;
+      acc := f !acc b !c
+    done;
+    !acc
+  in
+  let n = fold_buckets (fun acc _ c -> acc + c) 0 in
+  if n = 0 then 0.0
+  else begin
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (n - 1))) in
+    let rank = if rank < 0 then 0 else if rank > n - 1 then n - 1 else rank in
+    let live_max = Array.fold_left (fun acc m -> if m > acc then m else acc) neg_infinity maxes in
+    let acc = ref 0 and res = ref live_max and found = ref false in
+    for b = 0 to k do
+      if not !found then begin
+        acc := !acc + fold_buckets (fun a b' c -> if b' = b then a + c else a) 0;
+        if !acc > rank then begin
+          found := true;
+          res := (if b < k then bounds.(b) else live_max)
+        end
+      end
+    done;
+    !res
+  end
+
+let prop_slo_quantile_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      quad (1 -- 6) (opt gen_buckets)
+        (list_size (0 -- 60) (pair (0 -- 4) (-10 -- 120)))
+        (pair (0 -- 30) (list_size (1 -- 5) (0 -- 1000))))
+  in
+  QCheck.Test.make ~name:"slo: cumulative quantiles = quadratic oracle, bit for bit" ~count:400
+    (QCheck.make gen)
+    (fun (subs, buckets, steps, (extra, ps)) ->
+      let sub_us = 10.0 in
+      let w = Slo.window ~sub_windows:subs ~sub_us ?buckets () in
+      let bounds =
+        Array.of_list
+          (List.sort_uniq compare (Option.value buckets ~default:Tel.Hist.default_buckets))
+      in
+      (* Non-decreasing sample times, 7.5 us steps against 10 us slots. *)
+      let t = ref 0.0 in
+      let samples =
+        List.map
+          (fun (dt, xi) ->
+            t := !t +. (7.5 *. float_of_int dt);
+            let x = float_of_int xi /. 2.0 in
+            Slo.observe w ~now:!t x;
+            (!t, x))
+          steps
+      in
+      let now = !t +. (7.5 *. float_of_int extra) in
+      let slot_of time = int_of_float (time /. sub_us) in
+      let counts = Array.init subs (fun _ -> Array.make (Array.length bounds + 1) 0) in
+      let maxes = Array.make subs neg_infinity in
+      List.iter
+        (fun (time, x) ->
+          if slot_of time > slot_of now - subs then begin
+            let s = slot_of time mod subs in
+            let b = ref 0 in
+            while !b < Array.length bounds && x > bounds.(!b) do
+              incr b
+            done;
+            counts.(s).(!b) <- counts.(s).(!b) + 1;
+            if x > maxes.(s) then maxes.(s) <- x
+          end)
+        samples;
+      let ps = List.map (fun p -> float_of_int p /. 10.0) ps in
+      let expected = List.map (slo_quantile_oracle ~bounds ~counts ~maxes) ps in
+      List.map (fun p -> Slo.quantile w ~now p) ps = expected
+      && Slo.quantiles w ~now ps = expected)
+
+let prop_slo_buckets_as_hist =
+  QCheck.Test.make ~name:"slo: ?buckets windows quantile like a Hist of the same buckets"
+    ~count:200
+    (QCheck.make QCheck.Gen.(pair gen_buckets gen_samples))
+    (fun (buckets, samples) ->
+      let w = Slo.window ~sub_windows:4 ~sub_us:1000.0 ~buckets () in
+      let h = Tel.Hist.create ~buckets () in
+      List.iter
+        (fun x ->
+          Slo.observe w ~now:0.0 x;
+          Tel.Hist.observe h x)
+        samples;
+      Slo.count w ~now:0.0 = Tel.Hist.count h
+      && List.for_all
+           (fun p -> Slo.quantile w ~now:0.0 p = Tel.Hist.quantile h p)
+           [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ])
+
 let test_slo_breach_and_burn () =
   let w = Slo.window ~sub_windows:2 ~sub_us:1000.0 () in
   (* 90 good samples in the (2,5] bucket, 10 bad ones in (20,50] — with
@@ -505,6 +650,8 @@ let () =
           Alcotest.test_case "hist matches Stats.histogram" `Quick test_hist_matches_stats;
           Alcotest.test_case "hist empty" `Quick test_hist_empty;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "layout rejects bad buckets" `Quick test_layout_rejects_bad_buckets;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_layout_matches_stats;
         ] );
       ( "export",
         [
@@ -521,6 +668,8 @@ let () =
             test_slo_quantile_agrees_with_stats;
           Alcotest.test_case "breach and burn" `Quick test_slo_breach_and_burn;
           Alcotest.test_case "validation" `Quick test_slo_validation;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_slo_quantile_matches_oracle;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_slo_buckets_as_hist;
           Alcotest.test_case "prometheus format" `Quick test_prometheus_format;
         ] );
       ( "neutrality",
