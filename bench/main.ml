@@ -834,6 +834,15 @@ let kernel_phi_heavy () =
 
 type interp_measure = { im_ns_per_step : float; im_steps_per_s : float }
 
+(* Minor words one run allocates per instruction step, after a warm-up
+   run: a deterministic count (the same program allocates the same words
+   every time), so unlike the wall-clock rates it can be gated tightly. *)
+let interp_minor_words_per_step run1 =
+  ignore (run1 ());
+  let w0 = Gc.minor_words () in
+  let r = run1 () in
+  (Gc.minor_words () -. w0) /. float_of_int r.Interp.steps
+
 (* Best-of-[batches]: the minimum per-step time over repeated batches, the
    usual microbenchmark defense against scheduler and GC noise. *)
 let interp_measure ~batches ~runs run1 =
@@ -873,6 +882,7 @@ let interp_data () =
       [
         ("kernel", Table.Left); ("steps/run", Table.Right); ("ref ns/step", Table.Right);
         ("fast ns/step", Table.Right); ("fast steps/s", Table.Right); ("speedup", Table.Right);
+        ("words/step", Table.Right);
       ]
   in
   let results =
@@ -891,6 +901,7 @@ let interp_data () =
           Printf.eprintf "interp bench: fast/reference divergence on %s\n" name;
           exit 1
         end;
+        let words = interp_minor_words_per_step fast in
         let f = interp_measure ~batches ~runs fast in
         let r = interp_measure ~batches ~runs reference in
         let speedup = f.im_steps_per_s /. r.im_steps_per_s in
@@ -899,14 +910,15 @@ let interp_data () =
             name; string_of_int rf.Interp.steps; Printf.sprintf "%.0f" r.im_ns_per_step;
             Printf.sprintf "%.0f" f.im_ns_per_step;
             Printf.sprintf "%.2e" f.im_steps_per_s; Printf.sprintf "%.1fx" speedup;
+            Printf.sprintf "%.4f" words;
           ];
-        (name, rf.Interp.steps, f, r, speedup))
+        (name, rf.Interp.steps, f, r, speedup, words))
       kernels
   in
   Table.print t;
   let suites =
     List.map
-      (fun (name, steps, f, r, speedup) ->
+      (fun (name, steps, f, r, speedup, words) ->
         ( name,
           [
             ("steps_per_run", float_of_int steps);
@@ -915,6 +927,7 @@ let interp_data () =
             ("reference_ns_per_step", r.im_ns_per_step);
             ("reference_steps_per_s", r.im_steps_per_s);
             ("speedup", speedup);
+            ("minor_words_per_step", words);
           ] ))
       results
   in
@@ -1676,7 +1689,7 @@ let serve_section () = write_bench_json "BENCH_serve.json" (serve_data ())
    whatever machine runs the gate, so they get tolerances wide enough for
    host noise, and the fast/reference speedup (both engines timed in the
    same process) is the steadier of the two; the step counts are
-   deterministic and pinned exactly. *)
+   deterministic and pinned exactly, the minor words per step tightly. *)
 let gate_specs =
   [
     ( "interp",
@@ -1685,6 +1698,8 @@ let gate_specs =
         Gate.threshold ~tolerance:0.0 "steps_per_run";
         Gate.threshold ~tolerance:1.0 "fast_ns_per_step";
         Gate.threshold ~direction:Gate.Higher_is_better ~tolerance:0.6 "speedup";
+        (* a deterministic count, pinned like nxe's minor_words_per_sync *)
+        Gate.threshold ~tolerance:0.1 "minor_words_per_step";
       ] );
     ( "profile",
       profile_data,

@@ -63,7 +63,7 @@ let phase_counts () = { pc_steps = 0; pc_checks = 0; pc_runtime = 0; pc_syscalls
 
 exception Trap of outcome
 
-let func_addr_base = 0x4000_0000L
+let func_addr_base = P.func_addr_base
 
 type access = Read | Write
 
@@ -92,11 +92,11 @@ let make_itel telemetry =
 (* ------------------------------------------------------------------ *)
 (* Arithmetic, shared by both engines *)
 
-let add_overflows a b =
+let[@inline] add_overflows a b =
   let s = Int64.add a b in
   (a > 0L && b > 0L && s < 0L) || (a < 0L && b < 0L && s >= 0L)
 
-let mul_overflows a b =
+let[@inline] mul_overflows a b =
   if a = 0L || b = 0L then false
   else if (a = -1L && b = Int64.min_int) || (b = -1L && a = Int64.min_int) then true
   else
@@ -554,21 +554,22 @@ let run_reference ?(config = default_config) ?telemetry ?phases modul ~entry ~ar
   }
 
 (* ================================================================== *)
-(* Fast path: precompiled modules + paged shadow memory.               *)
+(* Fast path: precompiled modules over unboxed planes.                 *)
 (* Same observable semantics as the reference engine above, with the   *)
 (* per-step name resolution and per-address hashing compiled away:     *)
-(* frames are arrays, jumps are indices, memory is Shadow pages, and   *)
-(* intrinsics dispatch on a Precompile.intr tag.                       *)
+(* a value is a kind byte plus an int64 payload in two Bytes planes,   *)
+(* frames are windows of those planes, every operand is a frame slot,  *)
+(* jumps are indices, memory is Shadow pages, and intrinsics dispatch  *)
+(* on a Precompile.intr tag.  No instruction step allocates.           *)
 (* ================================================================== *)
 
-type falloc = { fa_base : int; fa_size : int; mutable fa_freed : bool }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type fstate = {
   f_cfg : config;
   f_pm : P.t;
-  f_mem : P.rvalue Shadow.t;
-  f_allocs : falloc Vec.t;         (* allocation id -> record *)
-  f_global_base : int array;       (* global index -> base address, per layout *)
+  f_ar : P.arena;
   mutable f_next : int;
   f_rng : Bunshin_util.Rng.t option;
   mutable f_timeline_rev : (int * event) list;
@@ -578,12 +579,49 @@ type fstate = {
   f_ph : phase_counts option;
 }
 
-(* Unbound-slot sentinel: compilation never emits a negative function
-   index, so this value cannot be produced by any program. *)
-let funbound = P.VFunc (-1)
-
 let frecord_event fst e = fst.f_timeline_rev <- (fst.f_steps, e) :: fst.f_timeline_rev
 let frecord_hazard fst h = fst.f_hazards_rev <- h :: fst.f_hazards_rev
+
+(* Register-plane access.  [s] is an absolute plane slot (frame base +
+   frame slot).  ocamlopt without flambda boxes an int64 that crosses a
+   call it does not inline, so every helper that takes or returns a
+   payload is [@inline], and the non-inlined ones below deal in slots,
+   kinds and planes only. *)
+
+let[@inline] fkind (ar : P.arena) s = Bytes.unsafe_get ar.P.a_kinds s
+
+(* The integer a value reads as: its payload, or the run's [undef_as]
+   (kept in [undef_slot]) for an undef. *)
+let[@inline] fint (ar : P.arena) s =
+  get64 ar.P.a_payloads
+    ((if Bytes.unsafe_get ar.P.a_kinds s = P.k_undef then P.undef_slot else s) lsl 3)
+
+let[@inline] fset (ar : P.arena) s k (v : int64) =
+  Bytes.unsafe_set ar.P.a_kinds s k;
+  set64 ar.P.a_payloads (s lsl 3) v
+
+let[@inline] fcopy (ar : P.arena) ~src ~dst =
+  Bytes.unsafe_set ar.P.a_kinds dst (Bytes.unsafe_get ar.P.a_kinds src);
+  set64 ar.P.a_payloads (dst lsl 3) (get64 ar.P.a_payloads (src lsl 3))
+
+(* A pointer result: [VPtr (Int64.to_int n)] in the reference, so the
+   payload is [n] truncated to an OCaml int. *)
+let[@inline] fset_ptr ar s (n : int64) = fset ar s P.k_ptr (Int64.of_int (Int64.to_int n))
+
+(* The reference's error for reading poison slot [i] of [f]'s frame. *)
+let fpoison (f : P.pfunc) k i =
+  if k = P.k_bad_global then
+    invalid_arg (Printf.sprintf "Interp: unknown global @%s" f.P.pf_slot_names.(i))
+  else
+    invalid_arg
+      (Printf.sprintf "Interp: %s: unbound register %%%s" f.P.pf_name f.P.pf_slot_names.(i))
+
+(* Evaluate operand [i] of the frame at [fb]: raise if it is poison. *)
+let[@inline] fcheck (ar : P.arena) f fb i =
+  let k = Bytes.unsafe_get ar.P.a_kinds (fb + i) in
+  if k < P.k_int then fpoison f k i
+
+let ffreed (ar : P.arena) id = Vec.get ar.P.a_allocs id land 1 = 1
 
 let fallocate fst size =
   let size = max 1 size in
@@ -591,23 +629,441 @@ let fallocate fst size =
    | Some rng -> fst.f_next <- fst.f_next + Bunshin_util.Rng.int rng 4
    | None -> ());
   let base = fst.f_next in
-  let id = Vec.length fst.f_allocs in
-  let a = { fa_base = base; fa_size = size; fa_freed = false } in
-  Vec.push fst.f_allocs a;
-  Shadow.map_range fst.f_mem ~base ~len:size ~tag:Shadow.tag_live ~owner:id;
-  Shadow.map_range fst.f_mem ~base:(base + size) ~len:fst.f_cfg.redzone
+  let ar = fst.f_ar in
+  let id = Vec.length ar.P.a_allocs in
+  Vec.push ar.P.a_allocs (base lsl 1);
+  Shadow.map_range ar.P.a_mem ~base ~len:size ~tag:Shadow.tag_live ~owner:id;
+  Shadow.map_range ar.P.a_mem ~base:(base + size) ~len:fst.f_cfg.redzone
     ~tag:Shadow.tag_redzone ~owner:(-1);
   fst.f_next <- base + size + fst.f_cfg.redzone;
-  a
+  base
 
-let finit_state ?telemetry ?phases cfg (pm : P.t) =
+(* Function index of a code address, or -1: the arithmetic inverse of a
+   [k_func] payload, replacing the reference addr_func hashtable. *)
+let[@inline] ffunc_of_addr pm addr =
+  let rel = Int64.sub addr P.func_addr_base in
+  if rel >= 0L && rel < Int64.of_int (Array.length pm.P.p_funcs) then Int64.to_int rel
+  else -1
+
+let fclassify fst addr =
+  let p = Shadow.page_of fst.f_ar.P.a_mem addr in
+  let off = addr land Shadow.page_mask in
+  let t = Bytes.unsafe_get p.Shadow.tags off in
+  if t = Shadow.tag_unmapped then `Unmapped
+  else if t = Shadow.tag_redzone then `Redzone
+  else if ffreed fst.f_ar (Array.unsafe_get p.Shadow.owner off) then `Freed
+  else `Live
+
+(* The page [addr] lives in, after the null, wild, redzone and
+   use-after-free outcomes of an access. *)
+let fmem_access fst access addr =
+  if addr = 0 then raise (Trap (Crashed Null_deref));
+  let p = Shadow.page_of fst.f_ar.P.a_mem addr in
+  let off = addr land Shadow.page_mask in
+  let t = Bytes.unsafe_get p.Shadow.tags off in
+  if t = Shadow.tag_unmapped then raise (Trap (Crashed (Wild_pointer (Int64.of_int addr))));
+  if t = Shadow.tag_redzone then
+    frecord_hazard fst
+      (match access with
+       | Read -> Oob_read (Int64.of_int addr)
+       | Write -> Oob_write (Int64.of_int addr))
+  else if ffreed fst.f_ar (Array.unsafe_get p.Shadow.owner off) then
+    frecord_hazard fst
+      (match access with
+       | Read -> Uaf_read (Int64.of_int addr)
+       | Write -> Uaf_write (Int64.of_int addr));
+  p
+
+let fload fst f fb d pv =
+  let ar = fst.f_ar in
+  fcheck ar f fb pv;
+  let addr = Int64.to_int (fint ar (fb + pv)) in
+  let p = fmem_access fst Read addr in
+  let off = addr land Shadow.page_mask in
+  let k = Bytes.unsafe_get p.Shadow.init off in
+  if k = '\000' then begin
+    frecord_hazard fst (Uninit_read (Int64.of_int addr));
+    fset ar (fb + d) P.k_int (get64 ar.P.a_payloads (P.undef_slot lsl 3))
+  end
+  else fset ar (fb + d) k (get64 p.Shadow.payload (off lsl 3))
+
+(* The pointer evaluates before the value, like the reference's
+   [mem_store st (eval v) (eval p)] application. *)
+let fstore fst f fb v pv =
+  let ar = fst.f_ar in
+  fcheck ar f fb pv;
+  fcheck ar f fb v;
+  let addr = Int64.to_int (fint ar (fb + pv)) in
+  let p = fmem_access fst Write addr in
+  let off = addr land Shadow.page_mask in
+  Bytes.unsafe_set p.Shadow.init off (fkind ar (fb + v));
+  set64 p.Shadow.payload (off lsl 3) (get64 ar.P.a_payloads ((fb + v) lsl 3))
+
+(* Operands evaluate right-to-left like the reference's
+   [eval_binop st op (eval a) (eval b)] application. *)
+let fbin fst f fb op d a b =
+  let ar = fst.f_ar in
+  fcheck ar f fb b;
+  fcheck ar f fb a;
+  let sa = fb + a and sb = fb + b and sd = fb + d in
+  let ka = fkind ar sa and kb = fkind ar sb in
+  if ka = P.k_undef || kb = P.k_undef then Bytes.unsafe_set ar.P.a_kinds sd P.k_undef
+  else begin
+    let x = get64 ar.P.a_payloads (sa lsl 3) and y = get64 ar.P.a_payloads (sb lsl 3) in
+    match op with
+    | Add ->
+      (* Pointer arithmetic keeps pointerness so later dereference works. *)
+      if (ka = P.k_ptr && kb = P.k_int) || (ka = P.k_int && kb = P.k_ptr) then
+        fset_ptr ar sd (Int64.add x y)
+      else fset ar sd P.k_int (Int64.add x y)
+    | Sub ->
+      if ka = P.k_ptr && kb = P.k_int then fset_ptr ar sd (Int64.sub x y)
+      else fset ar sd P.k_int (Int64.sub x y)
+    | Mul -> fset ar sd P.k_int (Int64.mul x y)
+    | Sdiv ->
+      if y = 0L then raise (Trap (Crashed Div_by_zero)) else fset ar sd P.k_int (Int64.div x y)
+    | Srem ->
+      if y = 0L then raise (Trap (Crashed Div_by_zero)) else fset ar sd P.k_int (Int64.rem x y)
+    | And -> fset ar sd P.k_int (Int64.logand x y)
+    | Or -> fset ar sd P.k_int (Int64.logor x y)
+    | Xor -> fset ar sd P.k_int (Int64.logxor x y)
+    | Shl -> fset ar sd P.k_int (Int64.shift_left x (Int64.to_int y land 63))
+    | Lshr -> fset ar sd P.k_int (Int64.shift_right_logical x (Int64.to_int y land 63))
+  end
+
+let fcmp fst f fb op d a b =
+  let ar = fst.f_ar in
+  fcheck ar f fb b;
+  fcheck ar f fb a;
+  let x = fint ar (fb + a) and y = fint ar (fb + b) in
+  let r =
+    match op with
+    | Eq -> x = y
+    | Ne -> x <> y
+    | Slt -> x < y
+    | Sle -> x <= y
+    | Sgt -> x > y
+    | Sge -> x >= y
+  in
+  fset ar (fb + d) P.k_int (if r then 1L else 0L)
+
+let fselect fst f fb d c a b =
+  let ar = fst.f_ar in
+  fcheck ar f fb c;
+  let s = if fint ar (fb + c) <> 0L then a else b in
+  fcheck ar f fb s;
+  fcopy ar ~src:(fb + s) ~dst:(fb + d)
+
+let falloca fst fb d n =
+  let base = fallocate fst n in
+  let ar = fst.f_ar in
+  Vec.push ar.P.a_allocas (Vec.length ar.P.a_allocs - 1);
+  fset ar (fb + d) P.k_ptr (Int64.of_int base)
+
+(* Intrinsics read their arguments in place, from the caller's frame, and
+   return through the arena's [ret_slot]. *)
+
+let farg intr fb (pargs : int array) n =
+  if n < Array.length pargs then fb + Array.unsafe_get pargs n
+  else invalid_arg (Printf.sprintf "intrinsic %s: missing argument %d" (P.intr_name intr) n)
+
+let[@inline] fret_bool ar b = fset ar P.ret_slot P.k_int (if b then 1L else 0L)
+
+let fcall_intrinsic_raw fst ~in_func ~in_block intr fb (pargs : int array) =
+  let ar = fst.f_ar in
+  match intr with
+  | P.IReport name ->
+    (match fst.f_tel with
+     | Some tel ->
+       Tel.Counter.incr tel.i_detect;
+       Tel.instant tel.i_dom
+         ~args:[ ("handler", name); ("func", in_func); ("block", in_block) ]
+         ~ts:(float_of_int fst.f_steps) ~cat:"interp" "detected"
+     | None -> ());
+    raise (Trap (Detected { d_handler = name; d_func = in_func; d_block = in_block }))
+  | P.ISyscall name ->
+    frecord_event fst
+      (Syscall (name, List.init (Array.length pargs) (fun k -> fint ar (fb + pargs.(k)))));
+    fset ar P.ret_slot P.k_int 0L
+  | P.IPrint ->
+    frecord_event fst (Output (fint ar (farg intr fb pargs 0)));
+    fset ar P.ret_slot P.k_int 0L
+  | P.IMalloc ->
+    let base = fallocate fst (Int64.to_int (fint ar (farg intr fb pargs 0))) in
+    fset ar P.ret_slot P.k_ptr (Int64.of_int base)
+  | P.IFree ->
+    let base = Int64.to_int (fint ar (farg intr fb pargs 0)) in
+    let p = Shadow.page_of ar.P.a_mem base in
+    let off = base land Shadow.page_mask in
+    (* Only an allocation *base* is a valid free target; the owner record
+       check mirrors the reference's base->alloc table lookup. *)
+    (if Bytes.unsafe_get p.Shadow.tags off = Shadow.tag_live then begin
+       let id = p.Shadow.owner.(off) in
+       let a = Vec.get ar.P.a_allocs id in
+       if a lsr 1 = base then
+         if a land 1 = 1 then frecord_hazard fst (Double_free (Int64.of_int base))
+         else Vec.set ar.P.a_allocs id (a lor 1)
+       else frecord_hazard fst (Bad_free (Int64.of_int base))
+     end
+     else frecord_hazard fst (Bad_free (Int64.of_int base)));
+    fset ar P.ret_slot P.k_int 0L
+  | P.IBoundsOk ->
+    let a = Int64.to_int (fint ar (farg intr fb pargs 0)) in
+    fret_bool ar (a <> 0 && fclassify fst a = `Live)
+  | P.IInAlloc ->
+    let a = Int64.to_int (fint ar (farg intr fb pargs 0)) in
+    fret_bool ar
+      (match fclassify fst a with `Live | `Freed -> true | `Redzone | `Unmapped -> false)
+  | P.INotFreed ->
+    let a = Int64.to_int (fint ar (farg intr fb pargs 0)) in
+    fret_bool ar
+      (match fclassify fst a with `Freed -> false | `Live | `Redzone | `Unmapped -> true)
+  | P.IInitOk ->
+    let a = Int64.to_int (fint ar (farg intr fb pargs 0)) in
+    let p = Shadow.page_of ar.P.a_mem a in
+    let off = a land Shadow.page_mask in
+    fret_bool ar
+      (Bytes.unsafe_get p.Shadow.tags off <> Shadow.tag_unmapped
+      && Bytes.unsafe_get p.Shadow.init off <> '\000')
+  | P.IAddOk ->
+    (* argument 1 first, like the reference's right-to-left application *)
+    let y = fint ar (farg intr fb pargs 1) in
+    let x = fint ar (farg intr fb pargs 0) in
+    fret_bool ar (not (add_overflows x y))
+  | P.IMulOk ->
+    let y = fint ar (farg intr fb pargs 1) in
+    let x = fint ar (farg intr fb pargs 0) in
+    fret_bool ar (not (mul_overflows x y))
+  | P.ICodePtrOk ->
+    let s = farg intr fb pargs 0 in
+    fret_bool ar (fkind ar s = P.k_func || ffunc_of_addr fst.f_pm (fint ar s) >= 0)
+  | P.IShiftOk ->
+    let n = fint ar (farg intr fb pargs 0) in
+    fret_bool ar (n >= 0L && n < 64L)
+  | P.IUnknown name -> invalid_arg ("Interp: unknown intrinsic " ^ name)
+
+let fcall_intrinsic fst ~in_func ~in_block intr fb pargs =
+  (match fst.f_ph with
+   | Some pc ->
+     if P.intr_is_helper intr then pc.pc_checks <- pc.pc_checks + 1
+     else (
+       match intr with
+       | P.ISyscall _ -> pc.pc_syscalls <- pc.pc_syscalls + 1
+       | _ -> pc.pc_runtime <- pc.pc_runtime + 1)
+   | None -> ());
+  match fst.f_tel with
+  | Some tel when P.intr_is_helper intr ->
+    fcall_intrinsic_raw fst ~in_func ~in_block intr fb pargs;
+    Tel.Counter.incr tel.i_hits;
+    let ar = fst.f_ar in
+    if fkind ar P.ret_slot = P.k_int && get64 ar.P.a_payloads (P.ret_slot lsl 3) = 0L then
+      Tel.Counter.incr tel.i_fails
+  | _ -> fcall_intrinsic_raw fst ~in_func ~in_block intr fb pargs
+
+(* Slot of the incoming value of a phi for predecessor block [prev], or
+   -1 when no edge matches — the reference's List.assoc_opt miss. *)
+let rec phi_incoming (inc : (int * int) array) prev k =
+  if k >= Array.length inc then -1
+  else
+    let l, s = Array.unsafe_get inc k in
+    if l = prev then s else phi_incoming inc prev (k + 1)
+
+let fblock (f : P.pfunc) = function
+  | P.TBlock bi -> bi
+  | P.TUnknown l -> invalid_arg (Printf.sprintf "Interp: %s: jump to unknown block %s" f.P.pf_name l)
+
+(* Target of an indirect call through slot [fp]. *)
+let ftarget fst f fb fp =
+  let ar = fst.f_ar in
+  fcheck ar f fb fp;
+  let addr = fint ar (fb + fp) in
+  if fkind ar (fb + fp) = P.k_func then Int64.to_int (Int64.sub addr P.func_addr_base)
+  else begin
+    let k = ffunc_of_addr fst.f_pm addr in
+    if k < 0 then raise (Trap (Crashed (Bad_indirect_call addr)));
+    k
+  end
+
+let fcheck_args fst f fb (pargs : int array) =
+  let ar = fst.f_ar in
+  for k = 0 to Array.length pargs - 1 do
+    fcheck ar f fb (Array.unsafe_get pargs k)
+  done
+
+let fgrow (ar : P.arena) need =
+  let cap = max need (2 * Bytes.length ar.P.a_kinds) in
+  let kinds = Bytes.create cap and payloads = Bytes.create (8 * cap) in
+  Bytes.blit ar.P.a_kinds 0 kinds 0 ar.P.a_sp;
+  Bytes.blit ar.P.a_payloads 0 payloads 0 (8 * ar.P.a_sp);
+  ar.P.a_kinds <- kinds;
+  ar.P.a_payloads <- payloads
+
+(* Push a frame for [f] on the arena's frame stack: its slot template, the
+   run's global bases, and the arguments, copied from slots
+   [src + pargs.(k)].  Returns the frame base. *)
+let fpush fst (f : P.pfunc) ~src (pargs : int array) =
+  let ar = fst.f_ar in
+  let fb = ar.P.a_sp in
+  let n = f.P.pf_nslots in
+  if fb + n > Bytes.length ar.P.a_kinds then fgrow ar (fb + n);
+  Bytes.blit f.P.pf_kinds 0 ar.P.a_kinds fb n;
+  Bytes.blit f.P.pf_payloads 0 ar.P.a_payloads (fb lsl 3) (n lsl 3);
+  let gs = f.P.pf_global_slots in
+  for k = 0 to Array.length gs - 1 do
+    let s, gi = Array.unsafe_get gs k in
+    set64 ar.P.a_payloads ((fb + s) lsl 3) (Int64.of_int ar.P.a_global_base.(gi))
+  done;
+  let params = f.P.pf_param_slots in
+  for k = 0 to Array.length pargs - 1 do
+    fcopy ar ~src:(src + Array.unsafe_get pargs k) ~dst:(fb + Array.unsafe_get params k)
+  done;
+  ar.P.a_sp <- fb + n;
+  fb
+
+(* Call function [fidx] with the (already evaluated) arguments in slots
+   [src + pargs.(k)]; its result lands in [ret_slot]. *)
+let rec fexec_call fst ~depth fidx ~src (pargs : int array) =
+  if depth > fst.f_cfg.max_depth then raise (Trap (Crashed Stack_overflow_sim));
+  let f = fst.f_pm.P.p_funcs.(fidx) in
+  if Array.length pargs <> f.P.pf_nparams then
+    invalid_arg
+      (Printf.sprintf "Interp: call to %s with %d args, expected %d" f.P.pf_name
+         (Array.length pargs) f.P.pf_nparams);
+  match fst.f_tel with
+  | None -> fexec_body fst ~depth f ~src pargs
+  | Some tel ->
+    Tel.span_begin tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
+    (match fexec_body fst ~depth f ~src pargs with
+     | () -> Tel.span_end tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name
+     | exception e ->
+       Tel.span_end tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
+       raise e)
+
+and fexec_body fst ~depth (f : P.pfunc) ~src pargs =
+  if Array.length f.P.pf_blocks = 0 then
+    invalid_arg ("Ast.entry_block: function " ^ f.P.pf_name ^ " has no blocks");
+  let fb = fpush fst f ~src pargs in
+  let ar = fst.f_ar in
+  let allocas = Vec.length ar.P.a_allocas in
+  (* The step counter is bumped inline: it runs once per executed
+     instruction, the single hottest point of the engine. *)
+  let fuel = fst.f_cfg.fuel in
+  let blocks = f.P.pf_blocks in
+  let bi = ref 0 and prev = ref (-1) and running = ref true in
+  while !running do
+    let b = Array.unsafe_get blocks !bi in
+    let phis = b.P.pb_phis in
+    let nphis = Array.length phis in
+    if nphis > 0 then begin
+      (* Simultaneous merge: every incoming value goes to its phi's
+         scratch slot before any destination is assigned. *)
+      for i = 0 to nphis - 1 do
+        let s = fst.f_steps + 1 in
+        fst.f_steps <- s;
+        if s > fuel then raise (Trap Fuel_exhausted);
+        let ph = Array.unsafe_get phis i in
+        let v = if !prev < 0 then -1 else phi_incoming ph.P.ph_incoming !prev 0 in
+        if v < 0 then Bytes.unsafe_set ar.P.a_kinds (fb + ph.P.ph_tmp) P.k_undef
+        else begin
+          fcheck ar f fb v;
+          fcopy ar ~src:(fb + v) ~dst:(fb + ph.P.ph_tmp)
+        end
+      done;
+      for i = 0 to nphis - 1 do
+        let ph = Array.unsafe_get phis i in
+        fcopy ar ~src:(fb + ph.P.ph_tmp) ~dst:(fb + ph.P.ph_dst)
+      done
+    end;
+    let body = b.P.pb_body in
+    for i = 0 to Array.length body - 1 do
+      let s = fst.f_steps + 1 in
+      fst.f_steps <- s;
+      if s > fuel then raise (Trap Fuel_exhausted);
+      match Array.unsafe_get body i with
+      | P.PBin (d, op, a, bv) -> fbin fst f fb op d a bv
+      | P.PCmp (d, op, a, bv) -> fcmp fst f fb op d a bv
+      | P.PAlloca (d, n) -> falloca fst fb d n
+      | P.PLoad (d, pv) -> fload fst f fb d pv
+      | P.PStore (v, pv) -> fstore fst f fb v pv
+      | P.PCall (dst, callee, pargs) ->
+        fcheck_args fst f fb pargs;
+        (match callee with
+         | P.CFunc fi -> fexec_call fst ~depth:(depth + 1) fi ~src:fb pargs
+         | P.CIntr it ->
+           (* The reference routes intrinsics through exec_call, whose
+              depth guard therefore also applies to them. *)
+           if depth + 1 > fst.f_cfg.max_depth then raise (Trap (Crashed Stack_overflow_sim));
+           fcall_intrinsic fst ~in_func:f.P.pf_name ~in_block:b.P.pb_label it fb pargs);
+        if dst >= 0 then fcopy ar ~src:P.ret_slot ~dst:(fb + dst)
+      | P.PCallInd (dst, fp, pargs) ->
+        (* Target resolution precedes argument evaluation, as in the
+           reference engine. *)
+        let fi = ftarget fst f fb fp in
+        fcheck_args fst f fb pargs;
+        fexec_call fst ~depth:(depth + 1) fi ~src:fb pargs;
+        if dst >= 0 then fcopy ar ~src:P.ret_slot ~dst:(fb + dst)
+      | P.PSelect (d, c, a, bv) -> fselect fst f fb d c a bv
+    done;
+    let s = fst.f_steps + 1 in
+    fst.f_steps <- s;
+    if s > fuel then raise (Trap Fuel_exhausted);
+    match b.P.pb_term with
+    | P.PRet None ->
+      fset ar P.ret_slot P.k_int 0L;
+      running := false
+    | P.PRet (Some v) ->
+      fcheck ar f fb v;
+      fcopy ar ~src:(fb + v) ~dst:P.ret_slot;
+      running := false
+    | P.PBr t ->
+      prev := !bi;
+      bi := fblock f t
+    | P.PCondBr (c, t1, t2) ->
+      fcheck ar f fb c;
+      prev := !bi;
+      bi := fblock f (if fint ar (fb + c) <> 0L then t1 else t2)
+    | P.PUnreachable ->
+      raise
+        (Trap
+           (Detected { d_handler = "unreachable"; d_func = f.P.pf_name; d_block = b.P.pb_label }))
+  done;
+  (* Frame teardown: allocas become dangling (stack use-after-return). *)
+  let stack = ar.P.a_allocas in
+  for k = allocas to Vec.length stack - 1 do
+    let id = Vec.get stack k in
+    Vec.set ar.P.a_allocs id (Vec.get ar.P.a_allocs id lor 1)
+  done;
+  Vec.truncate stack allocas;
+  ar.P.a_sp <- fb
+
+(* ------------------------------------------------------------------ *)
+(* Entry points *)
+
+let compile = P.compile
+
+(* What a reset arena keeps: beyond these sizes the storage a run grew is
+   dropped, so an arena's retained memory is bounded by a constant. *)
+let retained_slots = 16 * P.arena_slots
+let retained_allocs = 1024
+
+(* Return the arena to its empty state: every address unmapped and never
+   stored, no allocation, an empty frame stack. *)
+let reset_arena (ar : P.arena) =
+  Shadow.reset ar.P.a_mem;
+  Vec.clear ar.P.a_allocs ~keep:retained_allocs;
+  Vec.clear ar.P.a_allocas ~keep:retained_allocs;
+  if Bytes.length ar.P.a_kinds > retained_slots then begin
+    ar.P.a_kinds <- Bytes.create P.arena_slots;
+    ar.P.a_payloads <- Bytes.create (8 * P.arena_slots)
+  end;
+  ar.P.a_sp <- P.undef_slot + 1
+
+let frun ar ?telemetry ?phases cfg (pm : P.t) fidx args =
   let fst =
     {
       f_cfg = cfg;
       f_pm = pm;
-      f_mem = Shadow.create ~fill:P.VUndef;
-      f_allocs = Vec.create ();
-      f_global_base = Array.make (Array.length pm.P.p_globals) 0;
+      f_ar = ar;
       f_next =
         (if cfg.layout_seed = 0 then 0x1000
          else
@@ -623,435 +1079,32 @@ let finit_state ?telemetry ?phases cfg (pm : P.t) =
       f_ph = phases;
     }
   in
+  fset ar P.undef_slot P.k_int cfg.undef_as;
   Array.iteri
     (fun gi (g : global) ->
-      let a = fallocate fst g.g_size in
-      fst.f_global_base.(gi) <- a.fa_base;
+      let base = fallocate fst g.g_size in
+      ar.P.a_global_base.(gi) <- base;
       Array.iteri
         (fun i v ->
           if i < g.g_size then begin
-            let addr = a.fa_base + i in
-            let p = Shadow.page_of fst.f_mem addr in
+            let addr = base + i in
+            let p = Shadow.page_of ar.P.a_mem addr in
             let off = addr land Shadow.page_mask in
-            p.Shadow.values.(off) <- P.VInt v;
-            Bytes.set p.Shadow.init off '\001'
+            Bytes.set p.Shadow.init off P.k_int;
+            set64 p.Shadow.payload (off lsl 3) v
           end)
         g.g_init)
     pm.P.p_globals;
-  fst
-
-let fto_int fst = function
-  | P.VInt n -> n
-  | P.VPtr a -> Int64.of_int a
-  | P.VFunc i -> Int64.add func_addr_base (Int64.of_int i)
-  | P.VUndef -> fst.f_cfg.undef_as
-
-let ftruthy fst v = fto_int fst v <> 0L
-
-let faddr_of fst v =
-  match v with
-  | P.VPtr a -> a
-  | P.VInt n -> Int64.to_int n
-  | P.VFunc _ -> Int64.to_int (fto_int fst v)
-  | P.VUndef -> Int64.to_int fst.f_cfg.undef_as
-
-(* Function index of a code address, or -1: the arithmetic inverse of
-   [fto_int] on VFunc, replacing the reference addr_func hashtable. *)
-let ffunc_of_addr pm addr =
-  let rel = Int64.sub addr func_addr_base in
-  if rel >= 0L && rel < Int64.of_int (Array.length pm.P.p_funcs) then Int64.to_int rel
-  else -1
-
-let fclassify fst addr =
-  let p = Shadow.page_of fst.f_mem addr in
-  let off = addr land Shadow.page_mask in
-  let t = Bytes.unsafe_get p.Shadow.tags off in
-  if t = Shadow.tag_unmapped then `Unmapped
-  else if t = Shadow.tag_redzone then `Redzone
-  else if (Vec.get fst.f_allocs (Array.unsafe_get p.Shadow.owner off)).fa_freed then `Freed
-  else `Live
-
-let fmem_access fst access v =
-  let addr = faddr_of fst v in
-  if addr = 0 then raise (Trap (Crashed Null_deref));
-  let p = Shadow.page_of fst.f_mem addr in
-  let off = addr land Shadow.page_mask in
-  let t = Bytes.unsafe_get p.Shadow.tags off in
-  if t = Shadow.tag_unmapped then raise (Trap (Crashed (Wild_pointer (Int64.of_int addr))));
-  if t = Shadow.tag_redzone then
-    frecord_hazard fst
-      (match access with
-       | Read -> Oob_read (Int64.of_int addr)
-       | Write -> Oob_write (Int64.of_int addr))
-  else if (Vec.get fst.f_allocs (Array.unsafe_get p.Shadow.owner off)).fa_freed then
-    frecord_hazard fst
-      (match access with
-       | Read -> Uaf_read (Int64.of_int addr)
-       | Write -> Uaf_write (Int64.of_int addr));
-  (addr, p, off)
-
-let fmem_load fst v =
-  let addr, p, off = fmem_access fst Read v in
-  if Bytes.unsafe_get p.Shadow.init off = '\000' then begin
-    frecord_hazard fst (Uninit_read (Int64.of_int addr));
-    P.VInt fst.f_cfg.undef_as
-  end
-  else Array.unsafe_get p.Shadow.values off
-
-let fmem_store fst v ptr =
-  let _, p, off = fmem_access fst Write ptr in
-  Array.unsafe_set p.Shadow.values off v;
-  Bytes.unsafe_set p.Shadow.init off '\001'
-
-let feval_binop fst op va vb =
-  match (va, vb) with
-  | P.VUndef, _ | _, P.VUndef -> P.VUndef
-  | _ ->
-    (* [fto_int] inlined for the dominant VInt case. *)
-    let a = match va with P.VInt n -> n | _ -> fto_int fst va
-    and b = match vb with P.VInt n -> n | _ -> fto_int fst vb in
-    (match op with
-     | Add ->
-       let n = Int64.add a b in
-       (match (va, vb) with
-        | P.VPtr _, P.VInt _ | P.VInt _, P.VPtr _ -> P.VPtr (Int64.to_int n)
-        | _ -> P.VInt n)
-     | Sub ->
-       let n = Int64.sub a b in
-       (match (va, vb) with
-        | P.VPtr _, P.VInt _ -> P.VPtr (Int64.to_int n)
-        | _ -> P.VInt n)
-     | Mul -> P.VInt (Int64.mul a b)
-     | Sdiv -> if b = 0L then raise (Trap (Crashed Div_by_zero)) else P.VInt (Int64.div a b)
-     | Srem -> if b = 0L then raise (Trap (Crashed Div_by_zero)) else P.VInt (Int64.rem a b)
-     | And -> P.VInt (Int64.logand a b)
-     | Or -> P.VInt (Int64.logor a b)
-     | Xor -> P.VInt (Int64.logxor a b)
-     | Shl -> P.VInt (Int64.shift_left a (Int64.to_int b land 63))
-     | Lshr -> P.VInt (Int64.shift_right_logical a (Int64.to_int b land 63)))
-
-(* Shared immutable results, so compares and checks do not allocate. *)
-let vtrue = P.VInt 1L
-let vfalse = P.VInt 0L
-
-let feval_cmpop fst op va vb =
-  let a = match va with P.VInt n -> n | _ -> fto_int fst va
-  and b = match vb with P.VInt n -> n | _ -> fto_int fst vb in
-  let r =
-    match op with
-    | Eq -> a = b
-    | Ne -> a <> b
-    | Slt -> a < b
-    | Sle -> a <= b
-    | Sgt -> a > b
-    | Sge -> a >= b
-  in
-  if r then vtrue else vfalse
-
-let fcheck b = if b then vtrue else vfalse
-
-let fcall_intrinsic_raw fst ~in_func ~in_block intr (args : P.rvalue array) : P.rvalue =
-  let arg n =
-    if n < Array.length args then Array.unsafe_get args n
-    else invalid_arg (Printf.sprintf "intrinsic %s: missing argument %d" (P.intr_name intr) n)
-  in
-  match intr with
-  | P.IReport name ->
-    (match fst.f_tel with
-     | Some tel ->
-       Tel.Counter.incr tel.i_detect;
-       Tel.instant tel.i_dom
-         ~args:[ ("handler", name); ("func", in_func); ("block", in_block) ]
-         ~ts:(float_of_int fst.f_steps) ~cat:"interp" "detected"
-     | None -> ());
-    raise (Trap (Detected { d_handler = name; d_func = in_func; d_block = in_block }))
-  | P.ISyscall name ->
-    frecord_event fst (Syscall (name, List.map (fto_int fst) (Array.to_list args)));
-    P.VInt 0L
-  | P.IPrint ->
-    frecord_event fst (Output (fto_int fst (arg 0)));
-    P.VInt 0L
-  | P.IMalloc ->
-    let a = fallocate fst (Int64.to_int (fto_int fst (arg 0))) in
-    P.VPtr a.fa_base
-  | P.IFree ->
-    let base = faddr_of fst (arg 0) in
-    let p = Shadow.page_of fst.f_mem base in
-    let off = base land Shadow.page_mask in
-    (* Only an allocation *base* is a valid free target; the owner record
-       check mirrors the reference's base->alloc table lookup. *)
-    (if Bytes.unsafe_get p.Shadow.tags off = Shadow.tag_live then begin
-       let a = Vec.get fst.f_allocs p.Shadow.owner.(off) in
-       if a.fa_base = base then
-         if a.fa_freed then frecord_hazard fst (Double_free (Int64.of_int base))
-         else a.fa_freed <- true
-       else frecord_hazard fst (Bad_free (Int64.of_int base))
-     end
-     else frecord_hazard fst (Bad_free (Int64.of_int base)));
-    P.VInt 0L
-  | P.IBoundsOk ->
-    let a = faddr_of fst (arg 0) in
-    fcheck (a <> 0 && fclassify fst a = `Live)
-  | P.IInAlloc ->
-    let a = faddr_of fst (arg 0) in
-    fcheck
-      (match fclassify fst a with `Live | `Freed -> true | `Redzone | `Unmapped -> false)
-  | P.INotFreed ->
-    let a = faddr_of fst (arg 0) in
-    fcheck
-      (match fclassify fst a with `Freed -> false | `Live | `Redzone | `Unmapped -> true)
-  | P.IInitOk ->
-    let a = faddr_of fst (arg 0) in
-    let p = Shadow.page_of fst.f_mem a in
-    let off = a land Shadow.page_mask in
-    fcheck
-      (Bytes.unsafe_get p.Shadow.tags off <> Shadow.tag_unmapped
-      && Bytes.unsafe_get p.Shadow.init off = '\001')
-  | P.IAddOk -> fcheck (not (add_overflows (fto_int fst (arg 0)) (fto_int fst (arg 1))))
-  | P.IMulOk -> fcheck (not (mul_overflows (fto_int fst (arg 0)) (fto_int fst (arg 1))))
-  | P.ICodePtrOk ->
-    fcheck
-      (match arg 0 with
-       | P.VFunc _ -> true
-       | v -> ffunc_of_addr fst.f_pm (fto_int fst v) >= 0)
-  | P.IShiftOk ->
-    let n = fto_int fst (arg 0) in
-    fcheck (n >= 0L && n < 64L)
-  | P.IUnknown name -> invalid_arg ("Interp: unknown intrinsic " ^ name)
-
-let fcall_intrinsic fst ~in_func ~in_block intr args =
-  (match fst.f_ph with
-   | Some pc ->
-     if P.intr_is_helper intr then pc.pc_checks <- pc.pc_checks + 1
-     else (
-       match intr with
-       | P.ISyscall _ -> pc.pc_syscalls <- pc.pc_syscalls + 1
-       | _ -> pc.pc_runtime <- pc.pc_runtime + 1)
-   | None -> ());
-  match fst.f_tel with
-  | Some tel when P.intr_is_helper intr ->
-    let r = fcall_intrinsic_raw fst ~in_func ~in_block intr args in
-    Tel.Counter.incr tel.i_hits;
-    (match r with P.VInt 0L -> Tel.Counter.incr tel.i_fails | _ -> ());
-    r
-  | _ -> fcall_intrinsic_raw fst ~in_func ~in_block intr args
-
-(* Incoming edge of a phi for predecessor block [prev], or a compiled
-   [undef] when no edge matches — the reference's List.assoc_opt miss. *)
-let pundef = P.PConst P.VUndef
-
-let rec phi_incoming (inc : (int * P.pvalue) array) n prev k =
-  if k >= n then pundef
-  else
-    let l, v = Array.unsafe_get inc k in
-    if l = prev then v else phi_incoming inc n prev (k + 1)
-
-let feval fst (f : P.pfunc) (frame : P.rvalue array) = function
-  | P.PReg i -> (
-    match Array.unsafe_get frame i with
-    | P.VFunc k when k < 0 ->
-      invalid_arg
-        (Printf.sprintf "Interp: %s: unbound register %%%s" f.P.pf_name f.P.pf_slot_names.(i))
-    | v -> v)
-  | P.PConst c -> c
-  | P.PGlobal gi -> P.VPtr fst.f_global_base.(gi)
-  | P.PUnbound r -> invalid_arg (Printf.sprintf "Interp: %s: unbound register %%%s" f.P.pf_name r)
-  | P.PBadGlobal g -> invalid_arg (Printf.sprintf "Interp: unknown global @%s" g)
-
-let rec fexec_call fst ~depth fidx (args : P.rvalue array) : P.rvalue =
-  if depth > fst.f_cfg.max_depth then raise (Trap (Crashed Stack_overflow_sim));
-  let f = fst.f_pm.P.p_funcs.(fidx) in
-  if Array.length args <> f.P.pf_nparams then
-    invalid_arg
-      (Printf.sprintf "Interp: call to %s with %d args, expected %d" f.P.pf_name
-         (Array.length args) f.P.pf_nparams);
-  match fst.f_tel with
-  | None -> fexec_body fst ~depth f args
-  | Some tel ->
-    Tel.span_begin tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
-    (match fexec_body fst ~depth f args with
-     | r ->
-       Tel.span_end tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
-       r
-     | exception e ->
-       Tel.span_end tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
-       raise e)
-
-and fexec_body fst ~depth (f : P.pfunc) (args : P.rvalue array) : P.rvalue =
-  if Array.length f.P.pf_blocks = 0 then
-    invalid_arg ("Ast.entry_block: function " ^ f.P.pf_name ^ " has no blocks");
-  let frame = Array.make (max 1 f.P.pf_nslots) funbound in
-  for i = 0 to f.P.pf_nparams - 1 do
-    frame.(f.P.pf_param_slots.(i)) <- args.(i)
-  done;
-  let frame_allocs = ref [] in
-  (* The step counter is bumped inline (not via {!ftick}): it runs once per
-     executed instruction, the single hottest point of the engine. *)
-  let fuel = fst.f_cfg.fuel in
-  let rec run_block prev bi : P.rvalue =
-    let b = f.P.pf_blocks.(bi) in
-    let phis = b.P.pb_phis in
-    let nphis = Array.length phis in
-    if nphis > 0 then begin
-      (* Simultaneous merge: compute every incoming value into the block's
-         scratch buffer before assigning any (phi eval cannot re-enter the
-         block, so sharing the buffer across activations is safe). *)
-      let scratch = b.P.pb_scratch in
-      for i = 0 to nphis - 1 do
-        let s = fst.f_steps + 1 in
-        fst.f_steps <- s;
-        if s > fuel then raise (Trap Fuel_exhausted);
-        Array.unsafe_set scratch i
-          (if prev < 0 then P.VUndef
-           else
-             let inc = phis.(i).P.ph_incoming in
-             feval fst f frame (phi_incoming inc (Array.length inc) prev 0))
-      done;
-      for i = 0 to nphis - 1 do
-        Array.unsafe_set frame phis.(i).P.ph_dst (Array.unsafe_get scratch i)
-      done
-    end;
-    let body = b.P.pb_body in
-    for i = 0 to Array.length body - 1 do
-      let s = fst.f_steps + 1 in
-      fst.f_steps <- s;
-      if s > fuel then raise (Trap Fuel_exhausted);
-      match Array.unsafe_get body i with
-      (* The Bin/Cmp arms inline [feval]'s PConst/PReg cases by hand:
-         these two instructions dominate compute kernels and the extra
-         call per operand is measurable.  A sentinel hit falls back to
-         [feval], which raises the proper unbound-register error.
-         Operands evaluate right-to-left like the reference's
-         [eval_binop st op (eval a) (eval b)] application. *)
-      | P.PBin (d, op, a, bv) ->
-        let vb =
-          match bv with
-          | P.PConst c -> c
-          | P.PReg i -> (
-            match Array.unsafe_get frame i with
-            | P.VFunc k when k < 0 -> feval fst f frame bv
-            | v -> v)
-          | _ -> feval fst f frame bv
-        in
-        let va =
-          match a with
-          | P.PConst c -> c
-          | P.PReg i -> (
-            match Array.unsafe_get frame i with
-            | P.VFunc k when k < 0 -> feval fst f frame a
-            | v -> v)
-          | _ -> feval fst f frame a
-        in
-        Array.unsafe_set frame d (feval_binop fst op va vb)
-      | P.PCmp (d, op, a, bv) ->
-        let vb =
-          match bv with
-          | P.PConst c -> c
-          | P.PReg i -> (
-            match Array.unsafe_get frame i with
-            | P.VFunc k when k < 0 -> feval fst f frame bv
-            | v -> v)
-          | _ -> feval fst f frame bv
-        in
-        let va =
-          match a with
-          | P.PConst c -> c
-          | P.PReg i -> (
-            match Array.unsafe_get frame i with
-            | P.VFunc k when k < 0 -> feval fst f frame a
-            | v -> v)
-          | _ -> feval fst f frame a
-        in
-        Array.unsafe_set frame d (feval_cmpop fst op va vb)
-      | P.PAlloca (d, n) ->
-        let a = fallocate fst n in
-        frame_allocs := a :: !frame_allocs;
-        Array.unsafe_set frame d (P.VPtr a.fa_base)
-      | P.PLoad (d, pv) -> Array.unsafe_set frame d (fmem_load fst (feval fst f frame pv))
-      | P.PStore (v, pv) -> fmem_store fst (feval fst f frame v) (feval fst f frame pv)
-      | P.PCall (dst, callee, pargs) ->
-        let n = Array.length pargs in
-        let cargs = Array.make n P.VUndef in
-        for k = 0 to n - 1 do
-          cargs.(k) <- feval fst f frame pargs.(k)
-        done;
-        let r =
-          match callee with
-          | P.CFunc fi -> fexec_call fst ~depth:(depth + 1) fi cargs
-          | P.CIntr it ->
-            (* The reference routes intrinsics through exec_call, whose
-               depth guard therefore also applies to them. *)
-            if depth + 1 > fst.f_cfg.max_depth then
-              raise (Trap (Crashed Stack_overflow_sim));
-            fcall_intrinsic fst ~in_func:f.P.pf_name ~in_block:b.P.pb_label it cargs
-        in
-        if dst >= 0 then frame.(dst) <- r
-      | P.PCallInd (dst, fp, pargs) ->
-        (* Target resolution precedes argument evaluation, as in the
-           reference engine. *)
-        let fi =
-          match feval fst f frame fp with
-          | P.VFunc k -> k
-          | v ->
-            let addr = fto_int fst v in
-            let k = ffunc_of_addr fst.f_pm addr in
-            if k < 0 then raise (Trap (Crashed (Bad_indirect_call addr)));
-            k
-        in
-        let n = Array.length pargs in
-        let cargs = Array.make n P.VUndef in
-        for k = 0 to n - 1 do
-          cargs.(k) <- feval fst f frame pargs.(k)
-        done;
-        let r = fexec_call fst ~depth:(depth + 1) fi cargs in
-        if dst >= 0 then frame.(dst) <- r
-      | P.PSelect (d, c, a, bv) ->
-        Array.unsafe_set frame d
-          (if ftruthy fst (feval fst f frame c) then feval fst f frame a
-           else feval fst f frame bv)
-    done;
-    let s = fst.f_steps + 1 in
-    fst.f_steps <- s;
-    if s > fuel then raise (Trap Fuel_exhausted);
-    match b.P.pb_term with
-    | P.PRet None -> ffinish frame_allocs (P.VInt 0L)
-    | P.PRet (Some v) ->
-      let result = feval fst f frame v in
-      ffinish frame_allocs result
-    | P.PBr t -> fjump bi t
-    | P.PCondBr (c, t1, t2) -> fjump bi (if ftruthy fst (feval fst f frame c) then t1 else t2)
-    | P.PUnreachable ->
-      raise
-        (Trap
-           (Detected { d_handler = "unreachable"; d_func = f.P.pf_name; d_block = b.P.pb_label }))
-  and fjump from = function
-    | P.TBlock bi -> run_block from bi
-    | P.TUnknown l ->
-      invalid_arg (Printf.sprintf "Interp: %s: jump to unknown block %s" f.P.pf_name l)
-  in
-  run_block (-1) 0
-
-and ffinish frame_allocs result =
-  (* Frame teardown: allocas become dangling (stack use-after-return). *)
-  List.iter (fun a -> a.fa_freed <- true) !frame_allocs;
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Entry points *)
-
-let compile = P.compile
-
-let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry ~args =
-  let fidx =
-    match Hashtbl.find_opt pm.P.p_func_index entry with
-    | Some i -> i
-    | None -> invalid_arg ("Interp.run: no such function " ^ entry)
-  in
-  let fst = finit_state ?telemetry ?phases config pm in
   let outcome =
     try
-      let args = Array.of_list (List.map (fun n -> P.VInt n) args) in
-      Finished (Some (fto_int fst (fexec_call fst ~depth:0 fidx args)))
+      (* The entry's arguments sit in slots of their own below its frame. *)
+      let src = ar.P.a_sp in
+      let n = List.length args in
+      if src + n > Bytes.length ar.P.a_kinds then fgrow ar (src + n);
+      List.iteri (fun k v -> fset ar (src + k) P.k_int v) args;
+      ar.P.a_sp <- src + n;
+      fexec_call fst ~depth:0 fidx ~src (Array.init n Fun.id);
+      Finished (Some (fint ar P.ret_slot))
     with Trap o -> o
   in
   (match phases with Some pc -> pc.pc_steps <- pc.pc_steps + fst.f_steps | None -> ());
@@ -1063,6 +1116,31 @@ let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry
     hazards = List.rev fst.f_hazards_rev;
     steps = fst.f_steps;
   }
+
+let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry ~args =
+  let fidx =
+    match Hashtbl.find_opt pm.P.p_func_index entry with
+    | Some i -> i
+    | None -> invalid_arg ("Interp.run: no such function " ^ entry)
+  in
+  (* The module's arena, unless a run of it is already in progress (a
+     re-entrant call): that one gets a fresh arena of its own. *)
+  let ar =
+    let own = Lazy.force pm.P.p_arena in
+    if own.P.a_busy then P.new_arena pm else own
+  in
+  ar.P.a_busy <- true;
+  (* Reset on every way out, so the next run starts from an empty arena
+     whether this one finished, trapped or raised. *)
+  match frun ar ?telemetry ?phases config pm fidx args with
+  | r ->
+    reset_arena ar;
+    ar.P.a_busy <- false;
+    r
+  | exception e ->
+    reset_arena ar;
+    ar.P.a_busy <- false;
+    raise e
 
 let run ?config ?telemetry ?phases modul ~entry ~args =
   run_compiled ?config ?telemetry ?phases (P.compile modul) ~entry ~args

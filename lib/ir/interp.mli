@@ -118,9 +118,10 @@ val run :
     @raise Invalid_argument if [entry] does not exist or arity mismatches. *)
 
 val compile : modul -> Precompile.t
-(** Resolve names, number registers and pre-split phis once, so repeated
-    {!run_compiled} calls skip all per-step lookup work.  The result
-    snapshots the module: recompile after mutating it. *)
+(** Resolve names, number registers and operands into frame slots and
+    pre-split phis once, so repeated {!run_compiled} calls skip all
+    per-step lookup work.  The result snapshots the module: recompile
+    after mutating it. *)
 
 val run_compiled :
   ?config:config ->
@@ -132,7 +133,23 @@ val run_compiled :
   run
 (** Like {!run} on the module the argument was compiled from.  Identical
     observable behaviour — outcome, events, timeline, hazards, step count,
-    layout randomization — for any [config]/[telemetry]/[args]. *)
+    layout randomization — for any [config]/[telemetry]/[args].
+
+    {b Arena reuse.}  Runs work in the compiled module's
+    {!Precompile.arena}: its shadow pages, allocation table and register
+    planes are allocated by the first run and reused by every later one,
+    so a steady-state run allocates only its result, never per
+    instruction step.  The arena is reset whenever a run ends — finished,
+    trapped or raised — so each run starts with every address unmapped
+    and never stored, and the memory it keeps between runs is bounded by
+    a constant, not by the largest run it has seen.
+
+    {b Concurrency.}  A run holds the arena for its whole duration.  A
+    re-entrant run of the same module (started while another is in
+    progress, e.g. from a telemetry callback) finds it busy and runs in a
+    fresh arena of its own, leaving the busy one untouched.  The busy
+    flag is a plain field, not an atomic: a compiled module must not be
+    run from two domains at once. *)
 
 val run_reference :
   ?config:config ->

@@ -19,3 +19,15 @@ let check t i = if i < 0 || i >= t.len then invalid_arg "Vec: index out of range
 let get t i =
   check t i;
   t.data.(i)
+
+let set t i x =
+  check t i;
+  t.data.(i) <- x
+
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.truncate";
+  t.len <- n
+
+let clear t ~keep =
+  t.len <- 0;
+  if Array.length t.data > keep then t.data <- [||]

@@ -1276,7 +1276,7 @@ let test_shadow_empty_page_unwritten () =
   in
   let args = List.map (fun a -> [ Int64.of_int a ]) addrs in
   List.iter (fun (name, m) -> assert_differential name m args) progs;
-  let fresh = Shadow.create ~fill:0 in
+  let fresh = Shadow.create () in
   List.iter
     (fun a ->
       let p = Shadow.page_of fresh a in
@@ -1321,6 +1321,285 @@ entry:
   assert_differential ~seeds:[ 0; 1; 2; 3; 7; 4096; 12345; 99_991 ] "page boundary" m
     (List.map (fun i -> [ Int64.of_int i ]) idx)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation-free steps and the reusable run arena.  Every value the
+   fast engine touches lives unboxed in a register or memory plane, and a
+   compiled module keeps one arena (shadow pages, allocation table,
+   planes) that its runs reuse, so a run allocates only its result. *)
+
+(* [handler_src] with the served handler's trip count: 8 + x mod 24. *)
+let loop_handler_src =
+  {|@table = global [64]
+
+define @main(%x) {
+entry:
+  %buf = call @malloc(32)
+  %n0 = srem %x, 24
+  %n = add %n0, 8
+  br %fill
+fill:
+  %i = phi [0, %entry], [%i2, %fill]
+  %v = mul %i, %x
+  %p = gep %buf, %i
+  store %v, %p
+  %i2 = add %i, 1
+  %c = icmp slt %i2, %n
+  condbr %c, %fill, %sum
+sum:
+  %j = phi [0, %fill], [%j2, %sum]
+  %acc = phi [0, %fill], [%acc2, %sum]
+  %q = gep %buf, %j
+  %w = load %q
+  %acc2 = add %acc, %w
+  %j2 = add %j, 1
+  %d = icmp slt %j2, %n
+  condbr %d, %sum, %done
+done:
+  %k = srem %acc2, 64
+  %t = gep @table, %k
+  %old = load %t
+  %new = add %old, %acc2
+  store %new, %t
+  call @free(%buf)
+  ret %acc2
+}
+|}
+
+(* Steady-state minor words per [run_compiled] after one warm-up run.  A
+   run may allocate its result (events, hazards, outcome) and its per-run
+   state, but no instruction step may allocate: the shortest and longest
+   trip counts must cost the same to within a word per extra step. *)
+let test_minor_words_budget () =
+  let m = Inst.apply_exn [ San.asan ] (Parser.parse_exn loop_handler_src) in
+  let pm = Interp.compile m in
+  let budget = 500. and runs = 100 in
+  List.iter
+    (fun seed ->
+      let config = { Interp.default_config with layout_seed = seed } in
+      let measure x =
+        let run () = Interp.run_compiled ~config pm ~entry:"main" ~args:[ Int64.of_int x ] in
+        let r = run () in
+        (match r.Interp.outcome with
+         | Interp.Finished (Some _) -> ()
+         | _ -> Alcotest.fail "handler did not finish");
+        let w0 = Gc.minor_words () in
+        for _ = 1 to runs do
+          ignore (run ())
+        done;
+        ((Gc.minor_words () -. w0) /. float_of_int runs, r.Interp.steps)
+      in
+      let short_w, short_steps = measure 0 and long_w, long_steps = measure 23 in
+      List.iter
+        (fun (x, w) ->
+          if w > budget then
+            Alcotest.failf "layout_seed %d, x=%d: %.1f minor words per run (budget %.0f)" seed x
+              w budget)
+        [ (0, short_w); (23, long_w) ];
+      let extra = float_of_int (long_steps - short_steps) in
+      if long_steps <= short_steps || Float.abs (long_w -. short_w) >= extra then
+        Alcotest.failf
+          "layout_seed %d: %.1f vs %.1f words for %d vs %d steps: steps allocate" seed long_w
+          short_w long_steps short_steps)
+    [ 0; 1; 12345 ]
+
+(* One module, one arena, every way a run can end.  [main(mode, x)]
+   allocates the same two buffers in every mode, then: 0 finishes normally
+   (loops, a call, a global update, a free); 1 is detected inside a callee
+   holding an alloca; 2-5 crash (null, wild just past the last
+   allocation, division by zero, bad indirect call); 6 exhausts its fuel;
+   7 and 8 raise (unbound register, unknown global); 9 reads memory it
+   never stored; 10 reads memory it freed; 11 maps [x] slots — far more
+   pages than the arena keeps. *)
+let reuse_src =
+  {|@table = global [64]
+
+define @check(%p, %v) {
+entry:
+  %tmp = alloca 4
+  store %v, %tmp
+  call @__asan_report_store(%p)
+  unreachable
+}
+
+define @bump(%a) {
+entry:
+  %r = add %a, 1
+  ret %r
+}
+
+define @main(%mode, %x) {
+entry:
+  %buf = call @malloc(32)
+  %out = call @malloc(16)
+  %is0 = icmp eq %mode, 0
+  condbr %is0, %work, %t1
+t1:
+  %is1 = icmp eq %mode, 1
+  condbr %is1, %detect, %t2
+t2:
+  %is2 = icmp eq %mode, 2
+  condbr %is2, %null, %t3
+t3:
+  %is3 = icmp eq %mode, 3
+  condbr %is3, %wild, %t4
+t4:
+  %is4 = icmp eq %mode, 4
+  condbr %is4, %div, %t5
+t5:
+  %is5 = icmp eq %mode, 5
+  condbr %is5, %badcall, %t6
+t6:
+  %is6 = icmp eq %mode, 6
+  condbr %is6, %spin, %t7
+t7:
+  %is7 = icmp eq %mode, 7
+  condbr %is7, %unbound, %t8
+t8:
+  %is8 = icmp eq %mode, 8
+  condbr %is8, %badglobal, %t9
+t9:
+  %is9 = icmp eq %mode, 9
+  condbr %is9, %uninit, %t10
+t10:
+  %is10 = icmp eq %mode, 10
+  condbr %is10, %uaf, %big
+work:
+  %n0 = srem %x, 24
+  %n = add %n0, 8
+  br %fill
+fill:
+  %i = phi [0, %work], [%i2, %fill]
+  %v = mul %i, %x
+  %p = gep %buf, %i
+  store %v, %p
+  %i2 = add %i, 1
+  %c = icmp slt %i2, %n
+  condbr %c, %fill, %sum
+sum:
+  %j = phi [0, %fill], [%j2, %sum]
+  %acc = phi [0, %fill], [%acc2, %sum]
+  %q = gep %buf, %j
+  %w = load %q
+  %acc2 = add %acc, %w
+  %j2 = add %j, 1
+  %d = icmp slt %j2, %n
+  condbr %d, %sum, %done
+done:
+  %k = srem %acc2, 64
+  %t = gep @table, %k
+  %old = load %t
+  %new = call @bump(%old)
+  store %new, %t
+  store %acc2, %out
+  call @free(%buf)
+  ret %acc2
+detect:
+  store %x, %buf
+  call @check(%buf, %x)
+  ret 0
+null:
+  store %x, %out
+  %nv = load null
+  ret %nv
+wild:
+  store %x, %buf
+  %wp = gep %out, 40
+  %wv = load %wp
+  ret %wv
+div:
+  store %x, %buf
+  %z = sub %x, %x
+  %dq = sdiv %x, %z
+  ret %dq
+badcall:
+  store %x, %out
+  %fp = add %x, 12345
+  %bc = call_ind %fp()
+  ret %bc
+spin:
+  store %x, %buf
+  br %spin
+unbound:
+  %ub = add %acc2, 1
+  ret %ub
+badglobal:
+  %bg = load @nope
+  ret %bg
+uninit:
+  %up = gep %buf, 5
+  %uv = load %up
+  %tv = load @table
+  call @free(%buf)
+  %s = add %uv, %tv
+  ret %s
+uaf:
+  store %x, %buf
+  call @free(%buf)
+  %fv = load %buf
+  ret %fv
+big:
+  %bp = call @malloc(%x)
+  %last = sub %x, 1
+  %bl = gep %bp, %last
+  store %x, %bl
+  store %x, %bp
+  ret %x
+}
+|}
+
+let test_arena_reuse_differential () =
+  let m = Parser.parse_exn reuse_src in
+  let pm = Interp.compile m in
+  let arena = Lazy.force pm.Precompile.p_arena in
+  let big = 100 * Shadow.page_slots in
+  (* What a reset arena may retain: the pooled pages (two 256-byte and
+     one 2 KB plane, a 256-word owner array), the register planes at
+     their retained cap, the allocation vectors and the page tables. *)
+  let bound_words = (Shadow.max_pooled_pages * 600) + 6_000 + 3_000 in
+  let catches f = match f () with r -> Ok r | exception e -> Error e in
+  let run_one ~seed mode x =
+    let config = { Interp.default_config with layout_seed = seed; fuel = 5_000 } in
+    let args = [ Int64.of_int mode; Int64.of_int x ] in
+    let fast = catches (fun () -> Interp.run_compiled ~config pm ~entry:"main" ~args) in
+    let oracle = catches (fun () -> Interp.run_reference ~config m ~entry:"main" ~args) in
+    let name = Printf.sprintf "mode %d x=%d seed=%d" mode x seed in
+    let same =
+      match (fast, oracle) with
+      | Ok a, Ok b -> runs_identical a b
+      | Error a, Error b -> a = b
+      | _ -> false
+    in
+    Alcotest.(check bool) name true same;
+    let retained = Shadow.retained_pages arena.Precompile.a_mem in
+    if retained > Shadow.max_pooled_pages then
+      Alcotest.failf "%s: %d pages retained (bound %d)" name retained Shadow.max_pooled_pages;
+    let words = Obj.reachable_words (Obj.repr arena) in
+    if words > bound_words then
+      Alcotest.failf "%s: arena retains %d words (bound %d)" name words bound_words
+  in
+  let small = List.init 11 Fun.id in
+  List.iter
+    (fun seed ->
+      run_one ~seed 11 big;
+      List.iter
+        (fun x ->
+          (* rotate the mode order so every outcome follows every other *)
+          List.iter (fun k -> run_one ~seed ((k + x) mod 11) x) small;
+          run_one ~seed 11 (big / (1 + x)))
+        [ 3; 17; 23 ])
+    [ 0; 1; 12345 ];
+  (* A run that finds the arena busy (a re-entrant call) gets a fresh one
+     and leaves the module's arena as it was. *)
+  let before = Shadow.retained_pages arena.Precompile.a_mem in
+  arena.Precompile.a_busy <- true;
+  Fun.protect
+    ~finally:(fun () -> arena.Precompile.a_busy <- false)
+    (fun () ->
+      run_one ~seed:0 0 5;
+      run_one ~seed:0 11 big);
+  Alcotest.(check int) "busy arena untouched" before
+    (Shadow.retained_pages arena.Precompile.a_mem)
+
 let () =
   Alcotest.run ~and_exit:false "bunshin_ir_shadow"
     [
@@ -1329,5 +1608,7 @@ let () =
           Alcotest.test_case "per-run major-heap allocation budget" `Quick test_shadow_alloc_budget;
           Alcotest.test_case "shared empty page never written" `Quick test_shadow_empty_page_unwritten;
           Alcotest.test_case "page-boundary differential" `Quick test_shadow_page_boundary_diff;
+          Alcotest.test_case "per-run minor-word budget" `Quick test_minor_words_budget;
+          Alcotest.test_case "arena reuse differential" `Quick test_arena_reuse_differential;
         ] );
     ]
