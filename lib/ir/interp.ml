@@ -835,8 +835,7 @@ let fcall_intrinsic_raw fst ~in_func ~in_block intr fb (pargs : int array) =
     let x = fint ar (farg intr fb pargs 0) in
     fret_bool ar (not (mul_overflows x y))
   | P.ICodePtrOk ->
-    let s = farg intr fb pargs 0 in
-    fret_bool ar (fkind ar s = P.k_func || ffunc_of_addr fst.f_pm (fint ar s) >= 0)
+    fret_bool ar (ffunc_of_addr fst.f_pm (fint ar (farg intr fb pargs 0)) >= 0)
   | P.IShiftOk ->
     let n = fint ar (farg intr fb pargs 0) in
     fret_bool ar (n >= 0L && n < 64L)
@@ -872,17 +871,15 @@ let fblock (f : P.pfunc) = function
   | P.TBlock bi -> bi
   | P.TUnknown l -> invalid_arg (Printf.sprintf "Interp: %s: jump to unknown block %s" f.P.pf_name l)
 
-(* Target of an indirect call through slot [fp]. *)
+(* Target of an indirect call through slot [fp]: a [k_func] payload is a
+   code address, so one inverse serves functions and forged integers. *)
 let ftarget fst f fb fp =
   let ar = fst.f_ar in
   fcheck ar f fb fp;
   let addr = fint ar (fb + fp) in
-  if fkind ar (fb + fp) = P.k_func then Int64.to_int (Int64.sub addr P.func_addr_base)
-  else begin
-    let k = ffunc_of_addr fst.f_pm addr in
-    if k < 0 then raise (Trap (Crashed (Bad_indirect_call addr)));
-    k
-  end
+  let k = ffunc_of_addr fst.f_pm addr in
+  if k < 0 then raise (Trap (Crashed (Bad_indirect_call addr)));
+  k
 
 let fcheck_args fst f fb (pargs : int array) =
   let ar = fst.f_ar in
