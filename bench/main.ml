@@ -981,13 +981,15 @@ type nxe_measure = {
   nm_syncs_per_s : float; (* wall clock *)
   nm_minor_words_per_sync : float;
   nm_major_words_per_sync : float; (* allocated directly in the major heap *)
+  nm_ops : Machine.op_counts; (* scheduler ops of one run, deterministic *)
 }
 
 let nxe_measure ~batches ~runs mk_traces config =
   let traces = mk_traces () in
   let names = List.mapi (fun i _ -> Printf.sprintf "v%d" i) traces in
-  let run1 () = Nxe.run_traces ~config ~names traces in
-  let r0 = run1 () in
+  let run1 ?on_machine () = Nxe.run_traces ~config ?on_machine ~names traces in
+  let mach = ref None in
+  let r0 = run1 ~on_machine:(fun m -> mach := Some m) () in
   (match r0.Nxe.outcome with
    | `All_finished -> ()
    | `Aborted _ ->
@@ -1035,6 +1037,7 @@ let nxe_measure ~batches ~runs mk_traces config =
     nm_major_words_per_sync =
       (if r0.Nxe.synced_syscalls = 0 then 0.0
        else dwords /. float_of_int r0.Nxe.synced_syscalls);
+    nm_ops = Machine.op_counts (Option.get !mach);
   }
 
 (* Syscall-dense bzip2: the spec row's instruction mix and function set,
@@ -1113,6 +1116,7 @@ let nxe_data () =
              registration, not the sync path.  The serve_req quotient is
              all set-up, so its whole run gets a per-variant budget
              instead (measured ~540n words/run at n = 2, ~690n at n = 3). *)
+          let per_sync k = float_of_int k /. float_of_int (max 1 m.nm_synced) in
           let per_run = m.nm_minor_words_per_sync *. float_of_int m.nm_synced in
           if wname = "serve_req" && per_run > 900.0 *. float_of_int n then begin
             Printf.eprintf
@@ -1163,6 +1167,13 @@ let nxe_data () =
               ("sim_total_time_us", m.nm_total_time);
               ("syncs_per_s", m.nm_syncs_per_s);
               ("minor_words_per_sync", m.nm_minor_words_per_sync);
+              ("performs_per_sync", per_sync m.nm_ops.Machine.performs);
+              ("heap_pushes_per_sync", per_sync m.nm_ops.Machine.heap_pushes);
+              ("heap_pops_per_sync", per_sync m.nm_ops.Machine.heap_pops);
+              ("timer_pops_per_sync", per_sync m.nm_ops.Machine.timer_pops);
+              ("parks_per_sync", per_sync m.nm_ops.Machine.parks);
+              ("wakes_per_sync", per_sync m.nm_ops.Machine.wakes);
+              ("dispatch_rounds_per_sync", per_sync m.nm_ops.Machine.dispatch_rounds);
             ]
             @ (match speedup with Some s -> [ ("speedup_vs_prechange", s) ] | None -> [])
           in
@@ -1723,6 +1734,15 @@ let gate_specs =
         Gate.threshold ~tolerance:0.01 "sim_total_time_us";
         Gate.threshold ~direction:Gate.Higher_is_better ~tolerance:0.6 "syncs_per_s";
         Gate.threshold ~tolerance:0.1 "minor_words_per_sync";
+        (* Scheduler op counts per sync: deterministic, so pinned exactly.
+           Added host work shows here even when the wall clock is noisy. *)
+        Gate.threshold ~tolerance:0.0 "performs_per_sync";
+        Gate.threshold ~tolerance:0.0 "heap_pushes_per_sync";
+        Gate.threshold ~tolerance:0.0 "heap_pops_per_sync";
+        Gate.threshold ~tolerance:0.0 "timer_pops_per_sync";
+        Gate.threshold ~tolerance:0.0 "parks_per_sync";
+        Gate.threshold ~tolerance:0.0 "wakes_per_sync";
+        Gate.threshold ~tolerance:0.0 "dispatch_rounds_per_sync";
       ] );
     ( "net",
       net_data,

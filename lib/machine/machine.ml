@@ -191,6 +191,18 @@ type tel = {
 let ev_burst = 0
 let ev_wake = 1
 
+(* Always-on op counters: one int increment per scheduler operation,
+   preallocated with the machine; [op_counts] hands out a copy. *)
+type op_counts = {
+  mutable performs : int;
+  mutable heap_pushes : int;
+  mutable heap_pops : int;
+  mutable timer_pops : int;
+  mutable parks : int;
+  mutable wakes : int;
+  mutable dispatch_rounds : int;
+}
+
 type t = {
   cfg : config;
   (* Flat binary event heap, struct-of-arrays: the priority is (time, key)
@@ -243,6 +255,7 @@ type t = {
      active-thread count crossed the 0 boundary. *)
   mutable pressure_cache : float;
   mutable pressure_dirty : bool;
+  ops : op_counts;
   tel : tel option;
 }
 
@@ -309,6 +322,16 @@ let create ?(config = default_config) ?telemetry () =
     nd_blocked = 0;
     pressure_cache = 0.0;
     pressure_dirty = true;
+    ops =
+      {
+        performs = 0;
+        heap_pushes = 0;
+        heap_pops = 0;
+        timer_pops = 0;
+        parks = 0;
+        wakes = 0;
+        dispatch_rounds = 0;
+      };
     tel;
   }
 
@@ -346,6 +369,7 @@ let heap_grow t =
   t.h_th <- th
 
 let heap_push t time kind th =
+  t.ops.heap_pushes <- t.ops.heap_pushes + 1;
   if t.h_len = Array.length t.h_time then heap_grow t;
   let i = ref t.h_len in
   t.h_time.(!i) <- time;
@@ -361,6 +385,7 @@ let heap_push t time kind th =
 
 (* Remove the root; caller has already read it. *)
 let heap_drop t =
+  t.ops.heap_pops <- t.ops.heap_pops + 1;
   t.h_len <- t.h_len - 1;
   if t.h_len > 0 then begin
     t.h_time.(0) <- t.h_time.(t.h_len);
@@ -430,6 +455,7 @@ let post t ~at fn =
   done
 
 let timer_drop t =
+  t.ops.timer_pops <- t.ops.timer_pops + 1;
   t.tm_len <- t.tm_len - 1;
   if t.tm_len > 0 then begin
     t.tm_time.(0) <- t.tm_time.(t.tm_len);
@@ -575,6 +601,7 @@ let compute t d =
     (* Stage the burst size in the thread record: the effect carries no
        payload, so performing it allocates no constructor or boxed float. *)
     th.remaining <- d;
+    t.ops.performs <- t.ops.performs + 1;
     perform E_compute
   end
 
@@ -582,15 +609,21 @@ let sleep t d =
   let th = current_thread t in
   if d > 0.0 then begin
     th.eff_arg <- d;
+    t.ops.performs <- t.ops.performs + 1;
     perform E_sleep
   end
 
 let park t =
   let th = current_thread t in
-  if th.wake_pending then th.wake_pending <- false else perform E_park
+  if th.wake_pending then th.wake_pending <- false
+  else begin
+    t.ops.performs <- t.ops.performs + 1;
+    perform E_park
+  end
 
 let yield t =
   let _ = current_thread t in
+  t.ops.performs <- t.ops.performs + 1;
   perform E_yield
 
 let wake t th =
@@ -599,6 +632,7 @@ let wake t th =
     charge t th;
     set_state t th Ready;
     Tq.push t.runq th;
+    t.ops.wakes <- t.ops.wakes + 1;
     (match t.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_wakes;
@@ -694,6 +728,7 @@ let handler t th =
         th.k <- Suspended k;
         charge t th;
         set_state t th Blocked;
+        t.ops.parks <- t.ops.parks + 1;
         match t.tel with
         | Some tel ->
           Tel.Counter.incr tel.t_parks;
@@ -814,6 +849,7 @@ let dispatch t =
   let again = ref true in
   while !again do
     again := false;
+    t.ops.dispatch_rounds <- t.ops.dispatch_rounds + 1;
     (* Timeslice affinity: a free core whose last thread is runnable and
        still has quantum budget keeps it, regardless of queue order —
        otherwise two compute-heavy threads would ping-pong on every op.
@@ -989,6 +1025,8 @@ let stats t =
   in
   { total_time = total; context_switches = t.ctx_switches; cache_pressure_peak = t.pressure_peak }
 
+let op_counts t = { t.ops with performs = t.ops.performs }
+
 let proc_cpu_time _t p = List.fold_left (fun acc th -> acc +. th.cpu) 0.0 p.proc_threads
 
 let proc_finish_time _t p =
@@ -1100,7 +1138,8 @@ module Waitq = struct
           | Blocked ->
             charge m th;
             set_state m th Ready;
-            Tq.push m.runq th
+            Tq.push m.runq th;
+            m.ops.wakes <- m.ops.wakes + 1
           | Ready | Running | Sleeping -> th.wake_pending <- true
           | Finished -> ()
         done

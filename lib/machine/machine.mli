@@ -147,6 +147,23 @@ type stats = {
 
 val stats : t -> stats
 
+(** Always-on scheduler op counts since {!create}: one preallocated int
+    increment per operation, so reading them costs the schedule nothing.
+    They are host-cost accounting, not results, and stay out of {!stats}.
+    The counts are deterministic, so a bench can pin them exactly. *)
+type op_counts = private {
+  mutable performs : int;        (** effects performed by fibers (compute, sleep, park, yield) *)
+  mutable heap_pushes : int;     (** event-heap pushes (burst ends, sleep wake-ups) *)
+  mutable heap_pops : int;       (** event-heap pops *)
+  mutable timer_pops : int;      (** {!post}ed timers fired *)
+  mutable parks : int;           (** threads that blocked in {!park} *)
+  mutable wakes : int;           (** blocked threads made runnable by {!wake} or a wait queue *)
+  mutable dispatch_rounds : int; (** passes of the dispatcher over the run queue *)
+}
+
+val op_counts : t -> op_counts
+(** A copy of the counts so far: later operations do not change it. *)
+
 val proc_cpu_time : t -> proc -> float
 (** Total CPU consumed by the process's threads (post cache inflation). *)
 

@@ -433,6 +433,50 @@ let prop_work_conservation =
       M.run m;
       (M.stats m).M.total_time <= Bunshin_util.Stats.sum costs +. 1e-6)
 
+(* ------------------------------------------------------------------ *)
+(* Op counters *)
+
+let check_int = Alcotest.(check int)
+
+let test_op_counts () =
+  (* One thread on one core: compute, sleep, yield.  Dispatch rounds:
+     start the fiber (1), place the burst (2), after the burst ends and
+     the sleep is pushed (3), after the wake-up, which resumes into the
+     yield (4), resume from the yield into the exit (5), and the empty
+     round after it (6). *)
+  let m = M.create ~config:(cfg ~cores:1 ~quantum:100.0 ()) () in
+  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+  ignore
+    (M.spawn m p ~name:"t" (fun () ->
+         M.compute m 10.0;
+         M.sleep m 5.0;
+         M.yield m));
+  M.run m;
+  let o = M.op_counts m in
+  check_int "performs" 3 o.M.performs;
+  check_int "heap pushes (burst, sleep)" 2 o.M.heap_pushes;
+  check_int "heap pops" 2 o.M.heap_pops;
+  check_int "timer pops" 0 o.M.timer_pops;
+  check_int "parks" 0 o.M.parks;
+  check_int "wakes" 0 o.M.wakes;
+  check_int "dispatch rounds" 6 o.M.dispatch_rounds;
+  (* A park, the wake that ends it, and a posted timer. *)
+  let m = M.create () in
+  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+  let a = M.spawn m p ~name:"a" (fun () -> M.park m) in
+  ignore
+    (M.spawn m p ~name:"b" (fun () ->
+         M.compute m 1.0;
+         M.wake m a));
+  M.post m ~at:0.5 ignore;
+  M.run m;
+  let o = M.op_counts m in
+  check_int "performs (park, compute)" 2 o.M.performs;
+  check_int "parks" 1 o.M.parks;
+  check_int "wakes" 1 o.M.wakes;
+  check_int "timer pops" 1 o.M.timer_pops;
+  check_int "heap pops" 1 o.M.heap_pops
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -465,6 +509,7 @@ let () =
           Alcotest.test_case "pressure peak" `Quick test_pressure_peak_recorded;
         ] );
       ("accounting", [ Alcotest.test_case "per-proc" `Quick test_proc_accounting ]);
+      ("ops", [ Alcotest.test_case "op counts" `Quick test_op_counts ]);
       ( "waitq",
         [
           Alcotest.test_case "signal fifo" `Quick test_waitq_signal_fifo;
