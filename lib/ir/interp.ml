@@ -350,8 +350,9 @@ let call_intrinsic_raw st ~in_func ~in_block name args =
     VInt 0L
   end
   else if name = Runtime_api.malloc then begin
-    let a = allocate st (Int64.to_int (to_int st (arg 0))) in
-    VPtr a.a_base
+    let n = to_int st (arg 0) in
+    if Int64.compare n (Int64.of_int Runtime_api.malloc_max_slots) > 0 then VPtr 0
+    else VPtr (allocate st (Int64.to_int n)).a_base
   end
   else if name = Runtime_api.free then begin
     let base = addr_of st (arg 0) in
@@ -789,8 +790,10 @@ let fcall_intrinsic_raw fst ~in_func ~in_block intr fb (pargs : int array) =
     frecord_event fst (Output (fint ar (farg intr fb pargs 0)));
     fset ar P.ret_slot P.k_int 0L
   | P.IMalloc ->
-    let base = fallocate fst (Int64.to_int (fint ar (farg intr fb pargs 0))) in
-    fset ar P.ret_slot P.k_ptr (Int64.of_int base)
+    let n = fint ar (farg intr fb pargs 0) in
+    if Int64.compare n (Int64.of_int Runtime_api.malloc_max_slots) > 0 then
+      fset ar P.ret_slot P.k_ptr 0L
+    else fset ar P.ret_slot P.k_ptr (Int64.of_int (fallocate fst (Int64.to_int n)))
   | P.IFree ->
     let base = Int64.to_int (fint ar (farg intr fb pargs 0)) in
     let p = Shadow.page_of ar.P.a_mem base in

@@ -1,4 +1,8 @@
 let malloc = "malloc"
+
+(* 256 shadow pages: well above the largest allocation any workload,
+   test or example makes (100 pages). *)
+let malloc_max_slots = 65_536
 let free = "free"
 let print = "print"
 let syscall_prefix = "sys_"

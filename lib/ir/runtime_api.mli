@@ -2,6 +2,15 @@
     sanitizer passes and the check-removal slicer. *)
 
 val malloc : string
+
+(** The largest request, in slots, that [malloc] satisfies.  A larger one
+    returns null, as libc does when it cannot satisfy a request, before
+    any slot is mapped: both engines map an allocation's slots eagerly,
+    so without a bound a single step could take time and memory
+    proportional to an attacker-chosen size.  Sizes are compared as
+    signed 64-bit values; a negative size keeps allocating one slot. *)
+val malloc_max_slots : int
+
 val free : string
 
 (** [print v]: observable output event. *)

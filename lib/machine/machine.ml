@@ -27,7 +27,26 @@ let default_config =
 
 type state = Ready | Running | Blocked | Sleeping | Finished
 
-type kstate = Not_started | Suspended of (unit, unit) continuation | Live
+(* [Suspended]: the fiber's continuation is in the thread's [kont]. *)
+type kstate = Not_started | Suspended | Live
+
+type _ Effect.t += E_capture : unit Effect.t
+
+(* A continuation that is never resumed, captured once at start-up: [kont]
+   holds it whenever the thread is not suspended, so suspending stores the
+   runtime's continuation with a pointer write instead of allocating a
+   [Suspended k] box per perform. *)
+let no_kont : (unit, unit) continuation =
+  let cell : (unit, unit) continuation option ref = ref None in
+  match_with perform E_capture
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with E_capture -> Some (fun k -> cell := Some k) | _ -> None);
+    };
+  Option.get !cell
 
 (* Phase accounting: every thread carries a preallocated bucket array and
    charges each state interval to exactly one bucket, so the buckets of a
@@ -64,29 +83,37 @@ and thread = {
   body : unit -> unit;
   mutable state : state;
   mutable k : kstate;
-  mutable remaining : float;
+  mutable kont : (unit, unit) continuation; (* [no_kont] unless Suspended *)
   mutable wake_pending : bool;
-  mutable finish_time : float;
-  mutable cpu : float;
   mutable self_opt : thread option;
       (* [Some self], built once at spawn, so entering the fiber does not
          allocate an option per resume *)
-  mutable eff_arg : float; (* sleep duration, passed effect-payload-free *)
   (* --- pending-burst payload (at most one burst is in flight per thread,
      so the Burst_end event needs no allocated record: the event heap
      stores only (time, seq, kind, thread) and the burst parameters live
-     here) --- *)
+     here and in [fl]) --- *)
   mutable b_ci : int;      (* core the burst runs on *)
-  mutable b_slice : float; (* requested compute in the burst *)
-  mutable b_eff : float;   (* effective cost incl. inflation + ctx switch *)
-  mutable b_ctx : float;   (* context-switch share of b_eff *)
   (* --- phase accounting --- *)
-  spawn_time : float;
-  mutable p_since : float; (* start of the current state interval *)
   mutable p_run : int;     (* bucket charged while Running *)
   mutable p_wait : int;    (* bucket charged while Blocked *)
   p_acc : float array;     (* phase_slots buckets, us *)
-  (* --- last run-queue wait (Ready -> Running), for causal tracing --- *)
+  fl : tfl;
+}
+
+(* Every float of a thread, in one all-float record.  OCaml stores such a
+   record flat, so writing a field is a store; a mutable float field of a
+   mixed record like [thread] would allocate a fresh box on every write. *)
+and tfl = {
+  mutable remaining : float;
+  mutable finish_time : float;
+  mutable cpu : float;
+  mutable eff_arg : float; (* sleep duration, passed effect-payload-free *)
+  mutable b_slice : float; (* requested compute in the burst *)
+  mutable b_eff : float;   (* effective cost incl. inflation + ctx switch *)
+  mutable b_ctx : float;   (* context-switch share of b_eff *)
+  spawn_time : float;
+  mutable p_since : float; (* start of the current state interval *)
+  (* last run-queue wait (Ready -> Running), for causal tracing *)
   mutable t_rdy0 : float;  (* when the thread last became Ready *)
   mutable t_rdy1 : float;  (* when that wait ended (dispatch time) *)
 }
@@ -95,6 +122,21 @@ type tid = thread
 
 let dummy_proc =
   { pid = -1; pname = "<none>"; ws = 0.0; sens = 0.0; proc_threads = []; p_active = 0 }
+
+let new_tfl now =
+  {
+    remaining = 0.0;
+    finish_time = 0.0;
+    cpu = 0.0;
+    eff_arg = 0.0;
+    b_slice = 0.0;
+    b_eff = 0.0;
+    b_ctx = 0.0;
+    spawn_time = now;
+    p_since = now;
+    t_rdy0 = now;
+    t_rdy1 = now;
+  }
 
 (* Placeholder filling empty queue/heap slots: never dispatched, never woken. *)
 let dummy_thread =
@@ -106,23 +148,14 @@ let dummy_thread =
     body = (fun () -> ());
     state = Finished;
     k = Live;
-    remaining = 0.0;
+    kont = no_kont;
     wake_pending = false;
-    finish_time = 0.0;
-    cpu = 0.0;
     self_opt = None;
-    eff_arg = 0.0;
     b_ci = -1;
-    b_slice = 0.0;
-    b_eff = 0.0;
-    b_ctx = 0.0;
-    spawn_time = 0.0;
-    p_since = 0.0;
     p_run = 0;
     p_wait = 0;
     p_acc = [||];
-    t_rdy0 = 0.0;
-    t_rdy1 = 0.0;
+    fl = new_tfl 0.0;
   }
 
 (* Flat ring deque of threads: the run queue and every wait queue.  A push
@@ -173,7 +206,16 @@ module Tq = struct
     q.len <- q.len - 1
 end
 
-type core = { mutable c_last : int; mutable c_busy : bool; mutable c_budget : float }
+type core = { mutable c_last : int; mutable c_busy : bool }
+
+(* The simulated clock: a one-field float record, stored flat.  Other
+   libraries get it read-only (see the .mli) and read the time with a
+   field load, where a function returning the time would return a fresh
+   box. *)
+type clock = { mutable now : float }
+
+(* The machine's other mutable floats, flat for the same reason. *)
+type pressure = { mutable pr_peak : float; mutable pr_cache : float }
 
 (* Telemetry handles, resolved once at creation so the per-event cost is a
    field read; [tel = None] keeps every instrumentation point a no-op. *)
@@ -236,32 +278,32 @@ type t = {
   mutable progress : bool;
   runq : Tq.q;
   cores : core array;
+  budgets : float array; (* per core: quantum left to its last thread *)
   mutable procs : proc list;
   mutable threads : thread list;
-  mutable clock : float;
+  clk : clock;
   mutable current : thread option;
   mutable next_pid : int;
   mutable next_tid : int;
   mutable ctx_switches : int;
-  mutable pressure_peak : float;
+  pr : pressure;
   (* O(1) liveness/deadlock accounting: non-daemon threads not yet
      Finished, and how many of those are Blocked.  The run loop's
      per-event "are we deadlocked / is anyone alive" checks were O(threads)
      list walks before. *)
   mutable nd_unfinished : int;
   mutable nd_blocked : int;
-  (* Cached LLC pressure: recomputed — with the same fold, in the same
-     order, so the float result is bit-identical — only when some proc's
-     active-thread count crossed the 0 boundary. *)
-  mutable pressure_cache : float;
+  (* Cached LLC pressure ([pr.pr_cache]): recomputed — with the same sum,
+     in the same order, so the float result is bit-identical — only when
+     some proc's active-thread count crossed the 0 boundary. *)
   mutable pressure_dirty : bool;
   ops : op_counts;
   tel : tel option;
 }
 
 type _ Effect.t +=
-  | E_compute : unit Effect.t (* burst size pre-staged in th.remaining *)
-  | E_sleep : unit Effect.t   (* duration pre-staged in th.eff_arg *)
+  | E_compute : unit Effect.t (* burst size pre-staged in th.fl.remaining *)
+  | E_sleep : unit Effect.t   (* duration pre-staged in th.fl.eff_arg *)
   | E_park : unit Effect.t
   | E_yield : unit Effect.t
 
@@ -309,18 +351,18 @@ let create ?(config = default_config) ?telemetry () =
     progress = false;
     runq = Tq.create ();
     cores =
-      Array.init config.cores (fun _ -> { c_last = -1; c_busy = false; c_budget = 0.0 });
+      Array.init config.cores (fun _ -> { c_last = -1; c_busy = false });
+    budgets = Array.make config.cores 0.0;
     procs = [];
     threads = [];
-    clock = 0.0;
+    clk = { now = 0.0 };
     current = None;
     next_pid = 0;
     next_tid = 0;
     ctx_switches = 0;
-    pressure_peak = 0.0;
+    pr = { pr_peak = 0.0; pr_cache = 0.0 };
     nd_unfinished = 0;
     nd_blocked = 0;
-    pressure_cache = 0.0;
     pressure_dirty = true;
     ops =
       {
@@ -335,7 +377,7 @@ let create ?(config = default_config) ?telemetry () =
     tel;
   }
 
-let now t = t.clock
+let clock t = t.clk
 
 (* ------------------------------------------------------------------ *)
 (* Flat event heap *)
@@ -440,7 +482,7 @@ let timer_grow t =
   t.tm_fn <- fn
 
 let post t ~at fn =
-  let at = if at > t.clock then at else t.clock in
+  let at = if at > t.clk.now then at else t.clk.now in
   if t.tm_len = Array.length t.tm_time then timer_grow t;
   let i = ref t.tm_len in
   t.tm_time.(!i) <- at;
@@ -497,7 +539,7 @@ let proc_name p = p.pname
    (old) state selects, then restart the interval at the current clock.
    Must run immediately before every state assignment. *)
 let charge t th =
-  let dt = t.clock -. th.p_since in
+  let dt = t.clk.now -. th.fl.p_since in
   if dt > 0.0 then begin
     let slot =
       match th.state with
@@ -509,7 +551,7 @@ let charge t th =
     in
     if slot >= 0 then th.p_acc.(slot) <- th.p_acc.(slot) +. dt
   end;
-  th.p_since <- t.clock
+  th.fl.p_since <- t.clk.now
 
 (* The single state-assignment point: maintains the deadlock counters and
    each proc's active-thread count (hence the pressure cache's dirty bit).
@@ -555,23 +597,14 @@ let spawn t ?(daemon = false) proc ~name body =
       body;
       state = Ready;
       k = Not_started;
-      remaining = 0.0;
+      kont = no_kont;
       wake_pending = false;
-      finish_time = 0.0;
-      cpu = 0.0;
       self_opt = None;
-      eff_arg = 0.0;
       b_ci = -1;
-      b_slice = 0.0;
-      b_eff = 0.0;
-      b_ctx = 0.0;
-      spawn_time = t.clock;
-      p_since = t.clock;
       p_run = slot_compute;
       p_wait = slot_wait;
       p_acc = Array.make phase_slots 0.0;
-      t_rdy0 = t.clock;
-      t_rdy1 = t.clock;
+      fl = new_tfl t.clk.now;
     }
   in
   th.self_opt <- Some th;
@@ -593,14 +626,14 @@ let self t = current_thread t
 
 let last_ready_wait t =
   let th = current_thread t in
-  (th.t_rdy0, th.t_rdy1)
+  (th.fl.t_rdy0, th.fl.t_rdy1)
 
 let compute t d =
   let th = current_thread t in
   if d > 0.0 then begin
     (* Stage the burst size in the thread record: the effect carries no
        payload, so performing it allocates no constructor or boxed float. *)
-    th.remaining <- d;
+    th.fl.remaining <- d;
     t.ops.performs <- t.ops.performs + 1;
     perform E_compute
   end
@@ -608,7 +641,7 @@ let compute t d =
 let sleep t d =
   let th = current_thread t in
   if d > 0.0 then begin
-    th.eff_arg <- d;
+    th.fl.eff_arg <- d;
     t.ops.performs <- t.ops.performs + 1;
     perform E_sleep
   end
@@ -636,7 +669,7 @@ let wake t th =
     (match t.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_wakes;
-       Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ] ~ts:t.clock
+       Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ] ~ts:t.clk.now
          ~cat:"machine" "wake"
      | None -> ())
   | Ready | Running | Sleeping -> th.wake_pending <- true
@@ -657,30 +690,37 @@ let cancel t th =
   | _ ->
     charge t th;
     set_state t th Finished;
-    th.finish_time <- t.clock;
-    th.k <- Live (* drop the suspended continuation; it must never resume *)
+    th.fl.finish_time <- t.clk.now;
+    th.k <- Live;
+    th.kont <- no_kont (* drop the suspended continuation; it must never resume *)
 
 let cancel_proc t p = List.iter (cancel t) p.proc_threads
 
 (* ------------------------------------------------------------------ *)
 (* Cache model: inflation of compute cost under LLC pressure. *)
 
-let active_pressure t =
+let refresh_pressure t =
   if t.pressure_dirty then begin
-    (* Same fold over the same list in the same order as always — only the
+    (* Same sum over the same list in the same order as always — only the
        per-proc activity test changed from a thread-list walk to a counter
-       read — so the cached float is bit-identical to a fresh recompute. *)
-    let total =
-      List.fold_left (fun acc p -> if p.p_active > 0 then acc +. p.ws else acc) 0.0 t.procs
-    in
-    t.pressure_cache <- total /. t.cfg.llc_capacity;
+       read — so the cached float is bit-identical to a fresh recompute.
+       A loop, not [List.fold_left]: the accumulator stays unboxed. *)
+    let total = ref 0.0 and rest = ref t.procs and more = ref true in
+    while !more do
+      match !rest with
+      | [] -> more := false
+      | p :: tl ->
+        if p.p_active > 0 then total := !total +. p.ws;
+        rest := tl
+    done;
+    t.pr.pr_cache <- !total /. t.cfg.llc_capacity;
     t.pressure_dirty <- false
-  end;
-  t.pressure_cache
+  end
 
 let multiplier t th =
-  let pressure = active_pressure t in
-  if pressure > t.pressure_peak then t.pressure_peak <- pressure;
+  refresh_pressure t;
+  let pressure = t.pr.pr_cache in
+  if pressure > t.pr.pr_peak then t.pr.pr_peak <- pressure;
   (match t.tel with
    | Some tel ->
      Tel.Gauge.set tel.t_pressure pressure;
@@ -688,7 +728,7 @@ let multiplier t th =
        tel.t_last_pressure <- pressure;
        Tel.instant tel.t_dom ~tid:tel.t_sched_tid
          ~args:[ ("pressure", Printf.sprintf "%.3f" pressure) ]
-         ~ts:t.clock ~cat:"machine" "cache_pressure"
+         ~ts:t.clk.now ~cat:"machine" "cache_pressure"
      end
    | None -> ());
   if pressure <= 1.0 then 1.0
@@ -710,22 +750,25 @@ let handler t th =
   let on_compute : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        (* th.remaining was staged by [compute]. *)
-        th.k <- Suspended k;
+        (* th.fl.remaining was staged by [compute]. *)
+        th.k <- Suspended;
+        th.kont <- k;
         make_ready t th)
   in
   let on_sleep : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        th.k <- Suspended k;
+        th.k <- Suspended;
+        th.kont <- k;
         charge t th;
         set_state t th Sleeping;
-        heap_push t (t.clock +. th.eff_arg) ev_wake th)
+        heap_push t (t.clk.now +. th.fl.eff_arg) ev_wake th)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        th.k <- Suspended k;
+        th.k <- Suspended;
+        th.kont <- k;
         charge t th;
         set_state t th Blocked;
         t.ops.parks <- t.ops.parks + 1;
@@ -733,13 +776,14 @@ let handler t th =
         | Some tel ->
           Tel.Counter.incr tel.t_parks;
           Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ]
-            ~ts:t.clock ~cat:"machine" "park"
+            ~ts:t.clk.now ~cat:"machine" "park"
         | None -> ())
   in
   let on_yield : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        th.k <- Suspended k;
+        th.k <- Suspended;
+        th.kont <- k;
         make_ready t th)
   in
   {
@@ -747,7 +791,7 @@ let handler t th =
       (fun () ->
         charge t th;
         set_state t th Finished;
-        th.finish_time <- t.clock;
+        th.fl.finish_time <- t.clk.now;
         th.k <- Live);
     exnc = (fun e -> raise e);
     effc =
@@ -765,8 +809,8 @@ let resume_fiber t th =
   let saved = t.current in
   t.current <- th.self_opt;
   if th.state = Ready then begin
-    th.t_rdy0 <- th.p_since;
-    th.t_rdy1 <- t.clock
+    th.fl.t_rdy0 <- th.fl.p_since;
+    th.fl.t_rdy1 <- t.clk.now
   end;
   charge t th;
   set_state t th Running;
@@ -774,7 +818,9 @@ let resume_fiber t th =
    | Not_started ->
      th.k <- Live;
      match_with th.body () (handler t th)
-   | Suspended k ->
+   | Suspended ->
+     let k = th.kont in
+     th.kont <- no_kont;
      th.k <- Live;
      continue k ()
    | Live -> invalid_arg "Machine: resuming a live fiber");
@@ -810,11 +856,11 @@ let start_burst t th ci =
   let ctx =
     if core.c_last <> th.id then begin
       t.ctx_switches <- t.ctx_switches + 1;
-      core.c_budget <- t.cfg.quantum;
+      t.budgets.(ci) <- t.cfg.quantum;
       (match t.tel with
        | Some tel ->
          Tel.Counter.incr tel.t_ctx;
-         Tel.instant tel.t_dom ~tid:ci ~args:[ ("to", th.tname) ] ~ts:t.clock ~cat:"machine"
+         Tel.instant tel.t_dom ~tid:ci ~args:[ ("to", th.tname) ] ~ts:t.clk.now ~cat:"machine"
            "ctx_switch"
        | None -> ());
       t.cfg.ctx_switch_cost
@@ -826,20 +872,20 @@ let start_burst t th ci =
   let mult = multiplier t th in
   (* [Float.min remaining quantum] without the call: both are positive and
      finite, where the two agree bit-for-bit. *)
-  let slice = if th.remaining <= t.cfg.quantum then th.remaining else t.cfg.quantum in
+  let slice = if th.fl.remaining <= t.cfg.quantum then th.fl.remaining else t.cfg.quantum in
   let effective = ctx +. (slice *. mult) in
   if th.state = Ready then begin
-    th.t_rdy0 <- th.p_since;
-    th.t_rdy1 <- t.clock
+    th.fl.t_rdy0 <- th.fl.p_since;
+    th.fl.t_rdy1 <- t.clk.now
   end;
   charge t th;
   set_state t th Running;
   th.b_ci <- ci;
-  th.b_slice <- slice;
-  th.b_eff <- effective;
-  th.b_ctx <- ctx;
-  core.c_budget <- core.c_budget -. slice;
-  heap_push t (t.clock +. effective) ev_burst th
+  th.fl.b_slice <- slice;
+  th.fl.b_eff <- effective;
+  th.fl.b_ctx <- ctx;
+  t.budgets.(ci) <- t.budgets.(ci) -. slice;
+  heap_push t (t.clk.now +. effective) ev_burst th
 
 let dispatch t =
   (* Each round: walk the current run queue once, resuming zero-cost fibers
@@ -857,13 +903,13 @@ let dispatch t =
     let ncores = if Tq.is_empty t.runq then 0 else Array.length t.cores in
     for ci = 0 to ncores - 1 do
       let core = t.cores.(ci) in
-      if (not core.c_busy) && core.c_budget > 0.0 then begin
+      if (not core.c_busy) && t.budgets.(ci) > 0.0 then begin
         let n = Tq.length t.runq in
         let idx = ref (-1) in
         let i = ref 0 in
         while !idx < 0 && !i < n do
           let th = Tq.get t.runq !i in
-          if th.id = core.c_last && th.state = Ready && th.remaining > 0.0 then idx := !i;
+          if th.id = core.c_last && th.state = Ready && th.fl.remaining > 0.0 then idx := !i;
           incr i
         done;
         if !idx >= 0 then begin
@@ -878,7 +924,7 @@ let dispatch t =
       if not (Tq.is_empty t.runq) then begin
         let th = Tq.take t.runq in
         if th.state <> Ready then () (* stale entry *)
-        else if th.remaining <= 0.0 then begin
+        else if th.fl.remaining <= 0.0 then begin
           (* Nothing to burn: resume the fiber immediately (zero sim time). *)
           resume_fiber t th;
           again := true
@@ -903,12 +949,12 @@ let stuck_names t =
 
 let handle_burst_end t th =
   let ci = th.b_ci
-  and slice = th.b_slice
-  and effective = th.b_eff
-  and ctx = th.b_ctx in
+  and slice = th.fl.b_slice
+  and effective = th.fl.b_eff
+  and ctx = th.fl.b_ctx in
   t.cores.(ci).c_busy <- false;
-  th.remaining <- th.remaining -. slice;
-  th.cpu <- th.cpu +. effective;
+  th.fl.remaining <- th.fl.remaining -. slice;
+  th.fl.cpu <- th.fl.cpu +. effective;
   (* Charge the whole burst to the running bucket first, then carve the
      context-switch share out into the scheduler bucket, so a client that
      reads its buckets right after [compute] returns sees the burst
@@ -924,11 +970,11 @@ let handle_burst_end t th =
    | Some tel ->
      (* One complete span per CPU burst, on the core's lane: the trace
         shows exactly how the scheduler packed threads onto cores. *)
-     Tel.span_complete tel.t_dom ~tid:ci ~ts:(t.clock -. effective) ~dur:effective
+     Tel.span_complete tel.t_dom ~tid:ci ~ts:(t.clk.now -. effective) ~dur:effective
        ~cat:"machine" th.tname
    | None -> ());
   if th.state = Finished then () (* cancelled mid-burst: free the core only *)
-  else if th.remaining > 1e-12 then make_ready t th
+  else if th.fl.remaining > 1e-12 then make_ready t th
   else resume_fiber t th
 
 (* Pop and process the earliest pending event or timer.  Caller guarantees
@@ -942,8 +988,8 @@ let process_next t =
   if use_timer then begin
     let time = t.tm_time.(0) and fn = t.tm_fn.(0) in
     timer_drop t;
-    if time > t.clock then t.clock <- time;
-    if t.clock > t.cfg.max_time then
+    if time > t.clk.now then t.clk.now <- time;
+    if t.clk.now > t.cfg.max_time then
       raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
     fn ()
   end
@@ -955,8 +1001,8 @@ let process_next t =
     (* Event times are never behind the clock (every push is at
        [clock + positive] and pops come in key order), so this is
        [Float.max] without the function call. *)
-    if time > t.clock then t.clock <- time;
-    if t.clock > t.cfg.max_time then
+    if time > t.clk.now then t.clk.now <- time;
+    if t.clk.now > t.cfg.max_time then
       raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
     if kind = ev_wake then begin
       if th.state = Sleeping then begin
@@ -1020,18 +1066,18 @@ type stats = { total_time : float; context_switches : int; cache_pressure_peak :
 let stats t =
   let total =
     List.fold_left
-      (fun acc th -> if th.daemon then acc else Float.max acc th.finish_time)
+      (fun acc th -> if th.daemon then acc else Float.max acc th.fl.finish_time)
       0.0 t.threads
   in
-  { total_time = total; context_switches = t.ctx_switches; cache_pressure_peak = t.pressure_peak }
+  { total_time = total; context_switches = t.ctx_switches; cache_pressure_peak = t.pr.pr_peak }
 
 let op_counts t = { t.ops with performs = t.ops.performs }
 
-let proc_cpu_time _t p = List.fold_left (fun acc th -> acc +. th.cpu) 0.0 p.proc_threads
+let proc_cpu_time _t p = List.fold_left (fun acc th -> acc +. th.fl.cpu) 0.0 p.proc_threads
 
 let proc_finish_time _t p =
   List.fold_left
-    (fun acc th -> if th.daemon then acc else Float.max acc th.finish_time)
+    (fun acc th -> if th.daemon then acc else Float.max acc th.fl.finish_time)
     0.0 p.proc_threads
 
 (* ------------------------------------------------------------------ *)
@@ -1057,10 +1103,7 @@ let set_wait_phase t slot =
   th.p_wait <- slot;
   prev
 
-let reattribute t ?th ~from_ ~to_ amount =
-  check_slot "reattribute" from_;
-  check_slot "reattribute" to_;
-  let th = match th with Some th -> th | None -> current_thread t in
+let move_charged th ~from_ ~to_ amount =
   if amount > 0.0 && from_ <> to_ then begin
     (* Clamp: reattribution moves time already charged; it can never drive
        a bucket negative, so the sum-to-lifetime identity survives a
@@ -1070,17 +1113,41 @@ let reattribute t ?th ~from_ ~to_ amount =
     th.p_acc.(to_) <- th.p_acc.(to_) +. a
   end
 
+let reattribute t ?th ~from_ ~to_ amount =
+  check_slot "reattribute" from_;
+  check_slot "reattribute" to_;
+  let th = match th with Some th -> th | None -> current_thread t in
+  move_charged th ~from_ ~to_ amount
+
+(* [set_phase slot], [compute], restore the phase, then [reattribute] the
+   share of what the compute charged to [slot]: the same steps in the same
+   order as a client doing them through the API, but the measured time
+   stays an unboxed local instead of crossing a library boundary. *)
+let compute_split t d ~slot ~to_ ~share =
+  check_slot "compute_split" slot;
+  check_slot "compute_split" to_;
+  let th = current_thread t in
+  charge t th;
+  let prev = th.p_run in
+  th.p_run <- slot;
+  let before = th.p_acc.(slot) in
+  compute t d;
+  let delta = th.p_acc.(slot) -. before in
+  charge t th;
+  th.p_run <- prev;
+  move_charged th ~from_:slot ~to_ (delta *. share)
+
 let thread_phase _t th slot =
   check_slot "thread_phase" slot;
   th.p_acc.(slot)
 
 let thread_phases _t th = Array.copy th.p_acc
-let thread_spawn_time _t th = th.spawn_time
+let thread_spawn_time _t th = th.fl.spawn_time
 
 (* Lifetime covered by the buckets: up to finish for finished threads, up
    to the last charge point otherwise — so phases always sum to it. *)
 let thread_accounted_time _t th =
-  (if th.state = Finished then th.finish_time else th.p_since) -. th.spawn_time
+  (if th.state = Finished then th.fl.finish_time else th.fl.p_since) -. th.fl.spawn_time
 
 let proc_phases _t p =
   let acc = Array.make phase_slots 0.0 in

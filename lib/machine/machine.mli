@@ -36,8 +36,17 @@ val create : ?config:config -> ?telemetry:Bunshin_telemetry.Telemetry.sink -> un
     ([machine.cache_pressure] gauge).  Without it every instrumentation
     point is a no-op — the schedule is identical either way. *)
 
-val now : t -> float
-(** Current simulated time. *)
+type clock = private { mutable now : float }
+(** The machine's clock, read-only outside this module: [(clock m).now] is
+    the current simulated time.  An all-float record is stored flat, so
+    the read is a plain field load, where a function returning the time
+    from another library would return a freshly boxed float (library
+    modules are compiled without cross-module inlining).  Hot paths keep
+    the record and read [now] from it. *)
+
+val clock : t -> clock
+(** The machine's clock record: one record for the machine's lifetime,
+    so a caller may keep it. *)
 
 val new_proc :
   t -> ?cache_sensitivity:float -> name:string -> working_set:float -> unit -> proc
@@ -212,6 +221,15 @@ val reattribute : t -> ?th:tid -> from_:int -> to_:int -> float -> unit
 (** Move up to the given amount of already-charged time between two buckets
     of [th] (default: the calling thread).  Clamped at the source bucket's
     balance, so buckets never go negative and the sum is preserved. *)
+
+val compute_split : t -> float -> slot:int -> to_:int -> share:float -> unit
+(** [compute_split t cost ~slot ~to_ ~share] (fiber op): {!compute} [cost]
+    with the calling thread's run phase set to [slot], restore the previous
+    run phase, then {!reattribute} [share] times the time that compute
+    charged to [slot] into [to_].  Equal, bit for bit, to doing those steps
+    through {!set_phase}, {!thread_phase} and {!reattribute}, without a
+    float crossing the library boundary.
+    @raise Invalid_argument on an out-of-range slot. *)
 
 val thread_phase : t -> tid -> int -> float
 val thread_phases : t -> tid -> float array

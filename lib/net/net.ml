@@ -34,13 +34,16 @@ type link_tel = {
   lt_all_msgs : Tel.Counter.t;
 }
 
+(* A flat float record: advancing it per send stores, never boxes. *)
+type busy = { mutable until : float (* when the last queued message finishes serializing *) }
+
 type link = {
   l_name : string;
   l_params : params;
-  l_src : M.t;
+  l_src : M.clock;
   l_dst : M.t;
   l_rng : Rng.t;
-  mutable l_busy_until : float; (* when the last queued message finishes serializing *)
+  l_busy : busy;
   mutable l_msgs : int;
   mutable l_bytes : int;
   mutable l_retrans : int;
@@ -94,12 +97,12 @@ let link net ?(params = default_params) ~src ~dst name =
     {
       l_name = name;
       l_params = params;
-      l_src = src;
+      l_src = M.clock src;
       l_dst = dst;
       (* Independent loss stream per link, derived from the net seed and
          the link's creation index — stable however links are used. *)
       l_rng = Rng.create (net.n_seed lxor ((net.n_next + 1) * 0x9e3779b9));
-      l_busy_until = 0.0;
+      l_busy = { until = 0.0 };
       l_msgs = 0;
       l_bytes = 0;
       l_retrans = 0;
@@ -116,9 +119,9 @@ let transmission_us p bytes = float_of_int bytes /. p.bytes_per_us
 let send_traced net l ~bytes ~span ~node deliver =
   if bytes < 0 then invalid_arg "Net.send: negative size";
   let p = l.l_params in
-  let now = M.now l.l_src in
+  let now = l.l_src.M.now in
   let txm = transmission_us p bytes in
-  let depart = if l.l_busy_until > now then l.l_busy_until else now in
+  let depart = if l.l_busy.until > now then l.l_busy.until else now in
   (* Geometric retransmission count: each lost copy costs a recovery
      timeout plus a repeat transmission, serialized on the link — the
      message and everything behind it are delayed, never reordered. *)
@@ -128,7 +131,7 @@ let send_traced net l ~bytes ~span ~node deliver =
       incr retries
     done;
   let serialized = depart +. txm +. (float_of_int !retries *. (p.retransmit_us +. txm)) in
-  l.l_busy_until <- serialized;
+  l.l_busy.until <- serialized;
   l.l_msgs <- l.l_msgs + 1;
   l.l_bytes <- l.l_bytes + (bytes * (1 + !retries));
   l.l_retrans <- l.l_retrans + !retries;

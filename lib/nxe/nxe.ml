@@ -461,6 +461,7 @@ type t = {
   cfg : config;
   n : int;
   machines : M.t array; (* per node; node 0 hosts the leader and the monitor *)
+  clocks : M.clock array; (* per node: the time is a field load, never a boxed float *)
   place : int array; (* variant -> node; all 0 for the local engine *)
   remote : remote option;
   tel : tel option;
@@ -468,6 +469,8 @@ type t = {
   h_wait : Tel.Hist.t; (* blocked time at sync points, us *)
   working_sets : float array;
   sensitivities : float array;
+  fetch_resched_cost : float; (* fetch_cost + resched_cost, for [fetch_compute] *)
+  resched_share : float; (* resched_cost's share of it (0 when it is 0) *)
   names : string array;
   mutable failed : alert option;
   mutable failed_at : float; (* machine time of the abort *)
@@ -479,7 +482,7 @@ type t = {
   proc_reg : (string * int, pctx) Hashtbl.t;   (* (proc path, variant) *)
   mutable synced : int;
   mutable locksteps : int;
-  mutable gap_sum : float;
+  mutable gap_sum : int; (* sum of integer gaps: exact, and no float box per write *)
   mutable gap_count : int;
   mutable gap_max : int;
   mutable order_len : int;
@@ -511,6 +514,7 @@ type t = {
 
 let aborted nxe = nxe.failed <> None
 let machine_of nxe variant = nxe.machines.(nxe.place.(variant))
+let clock_of nxe variant = nxe.clocks.(nxe.place.(variant))
 
 (* Which synchronized syscalls rendezvous before the leader executes them:
    all of them in strict mode, the IO writes in selective mode — widened
@@ -524,7 +528,7 @@ let rendezvous nxe sc =
   | Some _ -> sc.Sc.klass = Sc.Process || List.mem sc.Sc.name socket_ops
 
 (* Heartbeat: any interaction with the engine proves the variant alive. *)
-let touch nxe variant = nxe.last_progress.(variant) <- M.now (machine_of nxe variant)
+let touch nxe variant = nxe.last_progress.(variant) <- (clock_of nxe variant).M.now
 
 (* A thread parked at an NXE sync point is waiting on its peers, not hung:
    the watchdog must not count its silence against the variant.  All NXE
@@ -543,6 +547,7 @@ let nxe_wait nxe ~variant q =
    from Compute to Sanitizer post-hoc. *)
 let do_work nxe ~variant fname cost =
   let m = machine_of nxe variant in
+  let clk = clock_of nxe variant in
   let f =
     match nxe.profile with
     | Some c -> Pr.Collector.check_fraction c ~variant fname
@@ -551,7 +556,7 @@ let do_work nxe ~variant fname cost =
   if f <= 0.0 then M.compute m cost
   else begin
     let self = M.self m in
-    let w0 = M.now m in
+    let w0 = clk.M.now in
     let before = M.thread_phase m self M.slot_compute in
     M.compute m cost;
     let delta = M.thread_phase m self M.slot_compute -. before in
@@ -563,7 +568,7 @@ let do_work nxe ~variant fname cost =
          own one-span trace; a0 carries the sanitizer share of the work. *)
       let id =
         Tx.record tc Tx.Sanitizer ~trace:(Tx.new_trace tc) ~parent:(-1)
-          ~node:nxe.place.(variant) ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:(M.now m)
+          ~node:nxe.place.(variant) ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:clk.M.now
       in
       Tx.annotate tc id ~a0:(delta *. f) ~a1:0.0 ~a2:0.0
     | None -> ()
@@ -574,22 +579,10 @@ let do_work nxe ~variant fname cost =
    the untagged engine; its share of the measured delta is reattributed. *)
 let fetch_compute nxe ~variant ~blocked =
   let m = machine_of nxe variant in
-  let fc = nxe.cfg.fetch_cost in
-  if not blocked then ph_compute m Pr.Phase.Fetch fc
-  else begin
-    let rc = nxe.cfg.resched_cost in
-    let total = fc +. rc in
-    let self = M.self m in
-    let fslot = Pr.Phase.slot Pr.Phase.Fetch in
-    let prev = M.set_phase m fslot in
-    let before = M.thread_phase m self fslot in
-    M.compute m total;
-    let delta = M.thread_phase m self fslot -. before in
-    ignore (M.set_phase m prev);
-    if rc > 0.0 && total > 0.0 then
-      M.reattribute m ~from_:fslot ~to_:(Pr.Phase.slot Pr.Phase.Resched)
-        (delta *. (rc /. total))
-  end
+  if not blocked then ph_compute m Pr.Phase.Fetch nxe.cfg.fetch_cost
+  else
+    M.compute_split m nxe.fetch_resched_cost ~slot:(Pr.Phase.slot Pr.Phase.Fetch)
+      ~to_:(Pr.Phase.slot Pr.Phase.Resched) ~share:nxe.resched_share
 
 (* Chrome-trace lane for (channel, variant): one track per logical thread
    per variant, so publish/fetch spans line up visually. *)
@@ -619,7 +612,7 @@ let broadcast_all nxe =
 let fail nxe alert =
   if nxe.failed = None then begin
     nxe.failed <- Some alert;
-    nxe.failed_at <- M.now nxe.machines.(0);
+    nxe.failed_at <- nxe.clocks.(0).M.now;
     (match nxe.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_alerts;
@@ -846,8 +839,9 @@ let maybe_flow nxe r chan ~variant =
    acyclic. *)
 let ship_slot nxe r chan ~pos sc =
   let m = nxe.machines.(0) in
+  let clk = nxe.clocks.(0) in
   flush_all nxe r;
-  if Array.length chan.rp_len > 1 then chan.sl_ship.(slot chan pos) <- M.now m;
+  if Array.length chan.rp_len > 1 then chan.sl_ship.(slot chan pos) <- clk.M.now;
   for k = 1 to Array.length nxe.machines - 1 do
     if node_active nxe k then begin
       M.compute m r.w.msg_cost;
@@ -1079,7 +1073,7 @@ let cancel_variant nxe variant =
 
 let quarantine nxe ~variant ~cause =
   if not nxe.v_quarantined.(variant) then begin
-    let now = M.now nxe.machines.(0) in
+    let now = nxe.clocks.(0).M.now in
     let chan, pos = fault_site nxe variant in
     (* Build the incident before retiring the cursors, so the victim's vote
        reads Pending ("never arrived"), not Exited. *)
@@ -1112,6 +1106,7 @@ let quarantine nxe ~variant ~cause =
 let handle_fault nxe ~variant ~cause =
   if (not (aborted nxe)) && not nxe.v_quarantined.(variant) then begin
     let m = nxe.machines.(0) in
+    let clk = nxe.clocks.(0) in
     let pol = nxe.cfg.fault_policy in
     let abort () =
       let chan, pos = fault_site nxe variant in
@@ -1125,7 +1120,7 @@ let handle_fault nxe ~variant ~cause =
       nxe.fault_abort_incident <-
         Some
           (incident_for nxe ~chan ~pos ~flagged:variant ~expected ~got
-             ~mismatch_override:F.Fault_isolation ~time:(M.now m) ());
+             ~mismatch_override:F.Fault_isolation ~time:clk.M.now ());
       nxe.v_dead.(variant) <- true;
       fail_at nxe chan ~pos ~variant ~expected ~got ();
       (* A stalled fiber must not keep the clock running to its far-future
@@ -1166,13 +1161,14 @@ let apply_faults nxe ~variant sc =
     let ord = nxe.sys_ord.(variant) in
     nxe.sys_ord.(variant) <- ord + 1;
     let m = machine_of nxe variant in
+    let clk = clock_of nxe variant in
     let injected () =
       match nxe.tel with
       | Some tel ->
         Tel.Counter.incr tel.t_faults;
         Tel.instant tel.t_dom
           ~args:[ ("variant", string_of_int variant) ]
-          ~ts:(M.now m) ~cat:"nxe" "fault:injected"
+          ~ts:clk.M.now ~cat:"nxe" "fault:injected"
       | None -> ()
     in
     let sc = ref sc in
@@ -1219,18 +1215,19 @@ let apply_faults nxe ~variant sc =
 
 let leader_sync nxe chan sc =
   let m = nxe.machines.(0) in
+  let clk = nxe.clocks.(0) in
   let tid = lane nxe chan ~variant:0 in
   (match nxe.tel with
    | Some tel ->
      Tel.Counter.incr tel.t_publish;
-     Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
+     Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:clk.M.now ~cat:"nxe"
        "publish"
    | None -> ());
-  let pub_t0 = M.now m in
+  let pub_t0 = clk.M.now in
   ph_compute m Pr.Phase.Publish nxe.cfg.checkin_cost;
   let pos = append chan.ring nxe chan ~watermark:slot_watermark ~grow:grow_slots in
   let s = slot chan pos in (* only this fiber appends: valid for the call *)
-  let publish_now = M.now m in
+  let publish_now = clk.M.now in
   chan.sl_sc.(s) <- sc;
   chan.sl_ready.(s) <- false;
   chan.sl_arrived.(s) <- 0;
@@ -1265,7 +1262,7 @@ let leader_sync nxe chan sc =
   nxe.synced <- nxe.synced + 1;
   let gap = pos - known_min_cursor nxe chan in
   if Array.length chan.cursors > 0 then begin
-    nxe.gap_sum <- nxe.gap_sum +. float_of_int gap;
+    nxe.gap_sum <- nxe.gap_sum + gap;
     nxe.gap_count <- nxe.gap_count + 1;
     Tel.Hist.observe nxe.h_gap (float_of_int gap);
     if gap > nxe.gap_max then nxe.gap_max <- gap
@@ -1273,7 +1270,7 @@ let leader_sync nxe chan sc =
   wake_all nxe chan.fol_q;
   let lockstep = rendezvous nxe sc in
   let blocked = ref false in
-  let wait_from = M.now m in
+  let wait_from = clk.M.now in
   if lockstep then begin
     nxe.locksteps <- nxe.locksteps + 1;
     (match nxe.tel with Some tel -> Tel.Counter.incr tel.t_locksteps | None -> ());
@@ -1311,12 +1308,12 @@ let leader_sync nxe chan sc =
            trace_sched_wait nxe tc chan pos ~variant:0;
            ignore
              (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(s) ~node:0
-                ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from ~t1:(M.now m))
+                ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from ~t1:clk.M.now)
          end
        | None -> ());
       (match nxe.profile with
        | Some c ->
-         Pr.Collector.record c ~chan:chan.ch_id ~pos ~time:(M.now m)
+         Pr.Collector.record c ~chan:chan.ch_id ~pos ~time:clk.M.now
            ~straggler:chan.sl_lastv.(s) ~wait
        | None -> ());
       match nxe.tel with
@@ -1327,7 +1324,7 @@ let leader_sync nxe chan sc =
               ("straggler", string_of_int chan.sl_lastv.(s));
               ("wait_us", Printf.sprintf "%.3f" wait);
             ]
-          ~ts:(M.now m) ~cat:"nxe" "straggler"
+          ~ts:clk.M.now ~cat:"nxe" "straggler"
       | _ -> ()
     end
   end
@@ -1345,7 +1342,7 @@ let leader_sync nxe chan sc =
         nxe_wait nxe ~variant:0 chan.leader_q
     done
   end;
-  if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
+  if !blocked then Tel.Hist.observe nxe.h_wait (clk.M.now -. wait_from);
   if !blocked && not (aborted nxe) then ph_compute m Pr.Phase.Resched nxe.cfg.resched_cost;
   if not (aborted nxe) then begin
     ph_compute m Pr.Phase.Syscall_service (Sc.base_cost sc);
@@ -1355,7 +1352,7 @@ let leader_sync nxe chan sc =
     (match nxe.remote with Some r -> release_slot nxe r chan ~pos sc ~lockstep | None -> ());
     (match nxe.tel with
      | Some tel when lockstep ->
-       Tel.instant tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
+       Tel.instant tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:clk.M.now ~cat:"nxe"
          "lockstep:release"
      | _ -> ());
     (match nxe.cfg.tracer with
@@ -1364,20 +1361,20 @@ let leader_sync nxe chan sc =
        (* With no live follower left the leader is the last participant:
           retire the root here.  Otherwise the follower advancing the last
           cursor closes it (fetches happen after this release). *)
-       if live_followers chan = 0 then Tx.finish tc chan.sl_span.(s) ~t1:(M.now m)
+       if live_followers chan = 0 then Tx.finish tc chan.sl_span.(s) ~t1:clk.M.now
      | None -> ());
     wake_all nxe chan.fol_q
   end;
   match nxe.tel with
-  | Some tel -> Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "publish"
+  | Some tel -> Tel.span_end tel.t_dom ~tid ~ts:clk.M.now ~cat:"nxe" "publish"
   | None -> ()
 
 (* A follower reached slot [pos] with [sc]: record it, then compare with
    what the leader published there.  Past the end of the stream the
    leader exited, so [sc] is an extra syscall.  [false]: the group
    aborted on a divergence. *)
-let follower_agrees nxe chan ~variant ~pos ~now sc =
-  record chan variant ~pos ~time:now sc;
+let follower_agrees nxe chan ~variant ~pos ~clk sc =
+  record chan variant ~pos ~time:clk.M.now sc;
   if chan.ring.len <= pos then begin
     fail_at nxe chan ~pos ~variant ~expected:"<exit>" ~got:sc.Sc.name ~got_sc:sc ();
     false
@@ -1409,8 +1406,8 @@ let stamp_arrival chan ~pos ~variant t =
    given) — the last consume retires the slot and closes the rendezvous
    root. *)
 let consume ?arrived nxe chan ~variant ~pos ~blocked =
-  let m = machine_of nxe variant in
-  let fetch_t0 = M.now m in
+  let clk = clock_of nxe variant in
+  let fetch_t0 = clk.M.now in
   fetch_compute nxe ~variant ~blocked;
   chan.cursors.(variant - 1) <- pos + 1;
   touch nxe variant;
@@ -1425,23 +1422,24 @@ let consume ?arrived nxe chan ~variant ~pos ~blocked =
      | None -> ());
     ignore
       (Tx.record_child tc Tx.Fetch ~parent ~node ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0
-         ~t1:(M.now m));
-    if slot_retired nxe chan pos then Tx.finish tc parent ~t1:(M.now m)
+         ~t1:clk.M.now);
+    if slot_retired nxe chan pos then Tx.finish tc parent ~t1:clk.M.now
   | _ -> ()
 
 (* A follower on node 0 reads the authoritative ring directly and gates
    on [sl_ready]. *)
 let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
   let m = nxe.machines.(0) in
+  let clk = nxe.clocks.(0) in
   let i = variant - 1 in
   let pos = chan.cursors.(i) in
   let blocked_for_slot = ref false in
-  let wait_from = M.now m in
+  let wait_from = clk.M.now in
   while (not (aborted nxe)) && chan.ring.len <= pos && not chan.leader_done do
     blocked_for_slot := true;
     nxe_wait nxe ~variant chan.fol_q.(i)
   done;
-  if !blocked_for_slot then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
+  if !blocked_for_slot then Tel.Hist.observe nxe.h_wait (clk.M.now -. wait_from);
   (* Capture the dispatch wait that ended the block now: the resched
      compute below would overwrite the machine's last-wait stamps.  The
      slot's span context is only valid past the wait (leader published). *)
@@ -1472,7 +1470,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       touch nxe variant;
       (match nxe.cfg.tracer with
        | Some tc when chan.sl_span.(slot chan pos) >= 0 && slot_retired nxe chan pos ->
-         Tx.finish tc chan.sl_span.(slot chan pos) ~t1:(M.now m)
+         Tx.finish tc chan.sl_span.(slot chan pos) ~t1:clk.M.now
        | _ -> ());
       M.Waitq.signal m chan.leader_q;
       (match chan.sl_sc.(slot chan pos).Sc.args with
@@ -1482,7 +1480,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       follower_sync_body ~on_signal nxe chan ~variant sc
     end
   end
-  else if follower_agrees nxe chan ~variant ~pos ~now:(M.now m) sc then begin
+  else if follower_agrees nxe chan ~variant ~pos ~clk sc then begin
     stamp_arrival chan ~pos ~variant wait_from;
     (match nxe.cfg.tracer with
      | Some tc when chan.sl_span.(slot chan pos) >= 0 ->
@@ -1498,16 +1496,16 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
     (match nxe.tel with
      | Some tel ->
        Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-         ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe" "lockstep:arrive"
+         ~args:[ ("sc", sc.Sc.name) ] ~ts:clk.M.now ~cat:"nxe" "lockstep:arrive"
      | None -> ());
     M.Waitq.signal m chan.leader_q;
     let blocked = ref false in
-    let ready_from = M.now m in
+    let ready_from = clk.M.now in
     while (not (aborted nxe)) && not chan.sl_ready.(slot chan pos) do
       blocked := true;
       nxe_wait nxe ~variant chan.fol_q.(i)
     done;
-    if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
+    if !blocked then Tel.Hist.observe nxe.h_wait (clk.M.now -. ready_from);
     if not (aborted nxe) then begin
       (match nxe.cfg.tracer with
        | Some tc when !blocked && chan.sl_span.(slot chan pos) >= 0 ->
@@ -1525,11 +1523,12 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
 let remote_follower_sync nxe r chan ~variant sc =
   let node = nxe.place.(variant) in
   let m = nxe.machines.(node) in
+  let clk = nxe.clocks.(node) in
   let i = variant - 1 in
   let pos = chan.cursors.(i) in
   let drained () = chan.leader_done && chan.rp_len.(node) >= chan.ring.len in
   let blocked_for_slot = ref false in
-  let wait_from = M.now m in
+  let wait_from = clk.M.now in
   while (not (aborted nxe)) && chan.rp_len.(node) <= pos && not (drained ()) do
     (* Sending the flow ack costs CPU, and a delivery can land during that
        compute — so re-check the wait condition before actually parking,
@@ -1540,7 +1539,7 @@ let remote_follower_sync nxe r chan ~variant sc =
       nxe_wait nxe ~variant chan.fol_q.(i)
     end
   done;
-  if !blocked_for_slot then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
+  if !blocked_for_slot then Tel.Hist.observe nxe.h_wait (clk.M.now -. wait_from);
   (* As in the local path: read the ready-wait stamps before any compute. *)
   let rdy =
     match nxe.cfg.tracer with
@@ -1552,7 +1551,7 @@ let remote_follower_sync nxe r chan ~variant sc =
   (* Past the wait the slot is visible here, or the whole stream was
      delivered and the leader exited: [follower_agrees] sees the same
      stream end a local follower would. *)
-  if aborted nxe || not (follower_agrees nxe chan ~variant ~pos ~now:(M.now m) sc) then ()
+  if aborted nxe || not (follower_agrees nxe chan ~variant ~pos ~clk sc) then ()
   else if rendezvous nxe chan.sl_sc.(slot chan pos) then begin
     (* Remote check: the ack carries this node's verdict (and its
        current cursor, for free) back to the leader.  The Arrival span
@@ -1573,7 +1572,7 @@ let remote_follower_sync nxe r chan ~variant sc =
     let cursor_now = chan.cursors.(i) and ship = chan.sl_ship.(slot chan pos) in
     r.t_ack <- r.t_ack + ack_bytes;
     Net.send_traced r.net r.up.(node - 1) ~bytes:ack_bytes ~span:arr ~node:0 (fun () ->
-        let t0 = M.now nxe.machines.(0) in
+        let t0 = nxe.clocks.(0).M.now in
         (* A quarantined follower's late ack may land after the slot was reclaimed. *)
         if pos >= chan.ring.lo then stamp_arrival chan ~pos ~variant t0;
         if ship > 0.0 then Net.observe_rtt r.net (t0 -. ship);
@@ -1582,12 +1581,12 @@ let remote_follower_sync nxe r chan ~variant sc =
         (match nxe.cfg.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
         M.Waitq.broadcast nxe.machines.(0) chan.leader_q);
     let blocked = ref false in
-    let ready_from = M.now m in
+    let ready_from = clk.M.now in
     while (not (aborted nxe)) && chan.rp_released.(node) <= pos do
       blocked := true;
       nxe_wait nxe ~variant chan.fol_q.(i)
     done;
-    if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
+    if !blocked then Tel.Hist.observe nxe.h_wait (clk.M.now -. ready_from);
     if not (aborted nxe) then begin
       (match nxe.cfg.tracer with
        | Some tc when !blocked && chan.sl_span.(slot chan pos) >= 0 ->
@@ -1623,32 +1622,33 @@ let follower_sync ?on_signal nxe chan ~variant sc =
   match nxe.tel with
   | None -> follower_sync_at ?on_signal nxe chan ~variant sc
   | Some tel ->
-    let m = machine_of nxe variant in
+    let clk = clock_of nxe variant in
     let tid = lane nxe chan ~variant in
     Tel.Counter.incr tel.t_fetch;
-    Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
+    Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:clk.M.now ~cat:"nxe"
       "fetch";
     follower_sync_at ?on_signal nxe chan ~variant sc;
-    Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "fetch"
+    Tel.span_end tel.t_dom ~tid ~ts:clk.M.now ~cat:"nxe" "fetch"
 
 (* Shared-memory propagation: like follower_sync, but the slot carries
    content to adopt rather than arguments to compare. *)
 let follower_shared_fetch nxe chan ~variant ~pos dst =
   let m = nxe.machines.(0) in
+  let clk = nxe.clocks.(0) in
   let i = variant - 1 in
   let blocked = ref false in
-  let wait_from = M.now m in
+  let wait_from = clk.M.now in
   while (not (aborted nxe)) && chan.ring.len <= pos && not chan.leader_done do
     blocked := true;
     nxe_wait nxe ~variant chan.fol_q.(i)
   done;
-  if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
+  if !blocked then Tel.Hist.observe nxe.h_wait (clk.M.now -. wait_from);
   if aborted nxe then ()
   else if chan.ring.len <= pos then
     fail_at nxe chan ~pos ~variant ~expected:"<exit>" ~got:"shared-memory access" ()
   else begin
     let exp_sc = chan.sl_sc.(slot chan pos) in
-    record chan variant ~pos ~time:(M.now m) exp_sc;
+    record chan variant ~pos ~time:clk.M.now exp_sc;
     (match exp_sc.Sc.args with
      | [ _; content ] -> dst := content
      | _ ->
@@ -1659,12 +1659,12 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
       stamp_arrival chan ~pos ~variant wait_from;
       M.Waitq.signal m chan.leader_q;
       let blocked2 = ref !blocked in
-      let ready_from = M.now m in
+      let ready_from = clk.M.now in
       while (not (aborted nxe)) && not chan.sl_ready.(slot chan pos) do
         blocked2 := true;
         nxe_wait nxe ~variant chan.fol_q.(i)
       done;
-      if M.now m > ready_from then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
+      if clk.M.now > ready_from then Tel.Hist.observe nxe.h_wait (clk.M.now -. ready_from);
       if not (aborted nxe) then begin
         consume ~arrived:wait_from nxe chan ~variant ~pos ~blocked:!blocked2;
         M.Waitq.signal m chan.leader_q
@@ -1681,6 +1681,7 @@ let det_order_op nxe det ~variant ~chan =
   if nxe.cfg.weak_determinism then begin
     let node = nxe.place.(variant) in
     let m = nxe.machines.(node) in
+    let clk = nxe.clocks.(node) in
     (* The logical-thread id is the interned channel id: paths are unique
        per channel, so the int comparison below is exactly the old string
        comparison. *)
@@ -1717,7 +1718,7 @@ let det_order_op nxe det ~variant ~chan =
         (match nxe.tel with
          | Some tel ->
            Tel.Counter.incr tel.t_replays;
-           Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant) ~ts:(M.now m) ~cat:"nxe"
+           Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant) ~ts:clk.M.now ~cat:"nxe"
              "det:replay"
          | None -> ());
         M.Waitq.broadcast m det.d_qs.(i)
@@ -1750,7 +1751,7 @@ and deliver_due_signals nxe ~chan =
   match nxe.pending_signals with
   | [] -> ()
   | (t, idx) :: rest ->
-    if chan.ch_id = 0 && t <= M.now nxe.machines.(0) then begin
+    if chan.ch_id = 0 && t <= nxe.clocks.(0).M.now then begin
       nxe.pending_signals <- rest;
       leader_sync nxe chan (Sc.with_args sc_signal_delivery [ Int64.of_int idx ]);
       if idx < Array.length nxe.signal_handlers then
@@ -1765,7 +1766,10 @@ and do_sys nxe ~variant ~chan sc =
     deliver_due_signals nxe ~chan;
     leader_sync nxe chan sc
   end
+  else if Array.length nxe.signal_handlers = 0 then follower_sync nxe chan ~variant sc
   else
+    (* Only a run with signal handlers builds the closure: no per-sync
+       allocation otherwise. *)
     follower_sync
       ~on_signal:(fun ops -> run_handler nxe ~variant ~chan ops)
       nxe chan ~variant sc
@@ -1775,6 +1779,7 @@ and do_sys nxe ~variant ~chan sc =
 
 let rec exec_ops nxe ~variant ~chan ~ppath ~pc ~det ~in_main_init ops () =
   let m = machine_of nxe variant in
+  let clk = clock_of nxe variant in
   let in_main = ref in_main_init in
   let spawn_count = ref 0 in
   let fork_count = ref 0 in
@@ -1839,7 +1844,7 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~pc ~det ~in_main_init ops () =
            | Some tel ->
              Tel.Counter.incr tel.t_spawns;
              Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-               ~args:[ ("child", child.ch_path) ] ~ts:(M.now m) ~cat:"nxe" "spawn"
+               ~args:[ ("child", child.ch_path) ] ~ts:clk.M.now ~cat:"nxe" "spawn"
            | None -> ());
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
           ignore
@@ -1858,7 +1863,7 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~pc ~det ~in_main_init ops () =
            | Some tel ->
              Tel.Counter.incr tel.t_forks;
              Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-               ~args:[ ("group", cchan.ch_path) ] ~ts:(M.now m) ~cat:"nxe" "fork"
+               ~args:[ ("group", cchan.ch_path) ] ~ts:clk.M.now ~cat:"nxe" "fork"
            | None -> ());
           let cdet = get_det nxe cpath in
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
@@ -1888,7 +1893,7 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~pc ~det ~in_main_init ops () =
     | Quarantined { q_time; q_cause; _ } ->
       (* A restarted variant that ran its whole trace again is back in the
          fold: its checks count toward the union once more. *)
-      nxe.v_status.(variant) <- Recovered { q_time; q_cause; r_time = M.now m }
+      nxe.v_status.(variant) <- Recovered { q_time; q_cause; r_time = clk.M.now }
     | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -2100,6 +2105,7 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       cfg = config;
       n;
       machines;
+      clocks = Array.map M.clock machines;
       place;
       remote;
       tel;
@@ -2107,6 +2113,11 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       h_wait;
       working_sets;
       sensitivities;
+      fetch_resched_cost = config.fetch_cost +. config.resched_cost;
+      resched_share =
+        (let total = config.fetch_cost +. config.resched_cost in
+         if config.resched_cost > 0.0 && total > 0.0 then config.resched_cost /. total
+         else 0.0);
       names = Array.of_list names;
       failed = None;
       failed_at = 0.0;
@@ -2118,7 +2129,7 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       proc_reg = Hashtbl.create 8;
       synced = 0;
       locksteps = 0;
-      gap_sum = 0.0;
+      gap_sum = 0;
       gap_count = 0;
       gap_max = 0;
       order_len = 0;
@@ -2200,7 +2211,7 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
            Tel.Counter.incr tel.t_restarts;
            Tel.instant tel.t_dom
              ~args:[ ("variant", string_of_int variant) ]
-             ~ts:(M.now machines.(0)) ~cat:"nxe" "restart"
+             ~ts:nxe.clocks.(0).M.now ~cat:"nxe" "restart"
          | None -> ());
         spawn_main variant ~suffix:":restart";
         broadcast_all nxe
@@ -2217,6 +2228,7 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
   if Float.is_finite hb then begin
     let mon = monitor_proc nxe in
     let m0 = machines.(0) in
+    let clk0 = nxe.clocks.(0) in
     ignore
       (M.spawn m0 ~daemon:true mon ~name:"nxe-monitor:watchdog" (fun () ->
            let interval = hb /. 2.0 in
@@ -2225,7 +2237,7 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
            do
              M.sleep m0 interval;
              if not (aborted nxe) then begin
-               let now = M.now m0 in
+               let now = clk0.M.now in
                for v = 0 to n - 1 do
                  if
                    nxe.live_threads.(v) > 0
@@ -2321,7 +2333,8 @@ let run ?wire ~config ?machine_config ?on_machine ?working_sets ?sensitivities ~
       executed_syscalls = nxe.executed;
       lockstep_syscalls = nxe.locksteps;
       avg_syscall_gap =
-        (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum /. float_of_int nxe.gap_count);
+        (if nxe.gap_count = 0 then 0.0
+         else float_of_int nxe.gap_sum /. float_of_int nxe.gap_count);
       max_syscall_gap = nxe.gap_max;
       order_list_length = nxe.order_len;
       det_replays = nxe.replays;

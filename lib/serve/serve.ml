@@ -169,6 +169,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
   let cfg = config in
   validate cfg ~offered_rps ~requests;
   let m = M.create () in
+  let clk = M.clock m in
   let front = M.new_proc m ~name:"serve-frontend" ~working_set:0.5 () in
   let poll = M.Poll.create () in
   (* The live monitor's window is sized to the expected run (~2x the
@@ -205,16 +206,16 @@ let run ?(config = default_config) src ~offered_rps ~requests =
      | Some _ -> failwith "Serve.run: request resolved twice"
      | None -> outcomes.(rid) <- Some o);
     incr resolved;
-    if M.now m > !last_resolution then last_resolution := M.now m
+    if clk.M.now > !last_resolution then last_resolution := clk.M.now
   in
   let serve_one g rid =
-    let start = M.now m in
+    let start = clk.M.now in
     let r = group_run cfg src ~req_id:rid in
     (* The nested engine run IS the service: the group occupies its slot
        for the run's simulated span (its CPU is accounted inside the
        nested machine — groups have their own cores). *)
     M.sleep m r.Nxe.total_time;
-    let finish = M.now m in
+    let finish = clk.M.now in
     service_sum := !service_sum +. r.Nxe.total_time;
     incr served;
     if cfg.keep_reports then reports := (rid, r) :: !reports;
@@ -238,7 +239,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
           serve_one g g.g_batch.(i)
         done;
         g.g_count <- 0;
-        g.g_idle_since <- M.now m;
+        g.g_idle_since <- clk.M.now;
         M.Poll.post m poll g.g_slot;
         loop ()
       end
@@ -258,7 +259,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
         g_retiring = false;
         g_batch = Array.make cfg.batch 0;
         g_count = 0;
-        g_idle_since = M.now m;
+        g_idle_since = clk.M.now;
       }
     in
     slots.(slot) <- Some g;
@@ -308,7 +309,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
           match s with
           | Some g
             when g.g_count = 0 && (not g.g_retiring)
-                 && M.now m -. g.g_idle_since >= cfg.retire_idle_us ->
+                 && clk.M.now -. g.g_idle_since >= cfg.retire_idle_us ->
             g.g_retiring <- true;
             slots.(g.g_slot) <- None;
             decr live;
@@ -322,7 +323,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
     let mean = 1e6 /. offered_rps in
     for rid = 0 to requests - 1 do
       if rid > 0 then M.sleep m (Rng.exponential rng ~mean);
-      arrival.(rid) <- M.now m;
+      arrival.(rid) <- clk.M.now;
       M.compute m cfg.admit_cost;
       if !qlen >= cfg.queue_capacity then begin
         (* backpressure: an explicit verdict at arrival time, never an

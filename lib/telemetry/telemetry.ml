@@ -53,10 +53,12 @@ module Hist = struct
     zero_tail : (float * int) list array;
     counts : int array;   (* length bounds + 1; last entry is overflow *)
     mutable h_n : int;
-    mutable h_sum : float;
-    mutable h_min : float;
-    mutable h_max : float;
+    hf : hfl;
   }
+
+  (* The running moments, in an all-float record: stored flat, so an
+     observation updates them without allocating a box per write. *)
+  and hfl = { mutable h_sum : float; mutable h_min : float; mutable h_max : float }
 
   let default_buckets =
     [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. ]
@@ -87,9 +89,7 @@ module Hist = struct
       zero_tail = l.l_zero_tail;
       counts = Array.make (Array.length l.l_bounds + 1) 0;
       h_n = 0;
-      h_sum = 0.0;
-      h_min = infinity;
-      h_max = neg_infinity;
+      hf = { h_sum = 0.0; h_min = infinity; h_max = neg_infinity };
     }
 
   let create ?buckets () =
@@ -103,15 +103,15 @@ module Hist = struct
     done;
     h.counts.(!i) <- h.counts.(!i) + 1;
     h.h_n <- h.h_n + 1;
-    h.h_sum <- h.h_sum +. x;
-    if x < h.h_min then h.h_min <- x;
-    if x > h.h_max then h.h_max <- x
+    h.hf.h_sum <- h.hf.h_sum +. x;
+    if x < h.hf.h_min then h.hf.h_min <- x;
+    if x > h.hf.h_max then h.hf.h_max <- x
 
   let count h = h.h_n
-  let sum h = h.h_sum
-  let mean h = if h.h_n = 0 then 0.0 else h.h_sum /. float_of_int h.h_n
-  let min_value h = if h.h_n = 0 then 0.0 else h.h_min
-  let max_value h = if h.h_n = 0 then 0.0 else h.h_max
+  let sum h = h.hf.h_sum
+  let mean h = if h.h_n = 0 then 0.0 else h.hf.h_sum /. float_of_int h.h_n
+  let min_value h = if h.h_n = 0 then 0.0 else h.hf.h_min
+  let max_value h = if h.h_n = 0 then 0.0 else h.hf.h_max
 
   (* Buckets past the last non-empty one come from the layout's shared
      zero suffix; empty buckets before it reuse the suffix's pairs. *)
@@ -137,12 +137,12 @@ module Hist = struct
       let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (h.h_n - 1))) in
       let rank = if rank < 0 then 0 else if rank > h.h_n - 1 then h.h_n - 1 else rank in
       let k = Array.length h.bounds in
-      let acc = ref 0 and i = ref 0 and res = ref h.h_max in
+      let acc = ref 0 and i = ref 0 and res = ref h.hf.h_max in
       (try
          while !i <= k do
            acc := !acc + h.counts.(!i);
            if !acc > rank then begin
-             res := (if !i < k then h.bounds.(!i) else h.h_max);
+             res := (if !i < k then h.bounds.(!i) else h.hf.h_max);
              raise Exit
            end;
            incr i
@@ -172,7 +172,7 @@ module Hist = struct
           while cum.(!i) <= rank do
             incr i
           done;
-          if !i < k then h.bounds.(!i) else h.h_max)
+          if !i < k then h.bounds.(!i) else h.hf.h_max)
         ps
     end
 end

@@ -1600,6 +1600,47 @@ let test_arena_reuse_differential () =
   Alcotest.(check int) "busy arena untouched" before
     (Shadow.retained_pages arena.Precompile.a_mem)
 
+(* The malloc size bound: a request at the limit and one below it are
+   mapped and usable, one above it returns null before anything is mapped
+   (the store through it is a null dereference), identically in both
+   engines and over layout seeds. *)
+let test_malloc_limit_differential () =
+  let m =
+    Parser.parse_exn
+      {|define @main(%n) {
+entry:
+  %p = call @malloc(%n)
+  store 5, %p
+  %last = sub %n, 1
+  %q = gep %p, %last
+  store 7, %q
+  %v = load %q
+  %w = load %p
+  %s = add %v, %w
+  ret %s
+}
+|}
+  in
+  let pm = Interp.compile m in
+  let limit = Runtime_api.malloc_max_slots in
+  List.iter
+    (fun (n, expect) ->
+      List.iter
+        (fun seed ->
+          let config = { Interp.default_config with layout_seed = seed } in
+          let args = [ Int64.of_int n ] in
+          let fast = Interp.run_compiled ~config pm ~entry:"main" ~args in
+          let oracle = Interp.run_reference ~config m ~entry:"main" ~args in
+          let name = Printf.sprintf "malloc(%d) seed %d" n seed in
+          Alcotest.(check bool) (name ^ ": engines agree") true (runs_identical fast oracle);
+          Alcotest.(check bool) (name ^ ": outcome") true (fast.Interp.outcome = expect))
+        [ 0; 1 ])
+    [
+      (limit - 1, Interp.Finished (Some 12L));
+      (limit, Interp.Finished (Some 12L));
+      (limit + 1, Interp.Crashed Interp.Null_deref);
+    ]
+
 let () =
   Alcotest.run ~and_exit:false "bunshin_ir_shadow"
     [
@@ -1610,5 +1651,6 @@ let () =
           Alcotest.test_case "page-boundary differential" `Quick test_shadow_page_boundary_diff;
           Alcotest.test_case "per-run minor-word budget" `Quick test_minor_words_budget;
           Alcotest.test_case "arena reuse differential" `Quick test_arena_reuse_differential;
+          Alcotest.test_case "malloc limit differential" `Quick test_malloc_limit_differential;
         ] );
     ]

@@ -350,9 +350,9 @@ let test_poll_fast_path_no_park () =
     (M.spawn m p ~name:"self" (fun () ->
          M.Poll.post m poll 1;
          M.Poll.post m poll 2;
-         let t0 = M.now m in
+         let t0 = (M.clock m).M.now in
          got := M.Poll.wait m poll;
-         check_time "no simulated time elapsed" t0 (M.now m)));
+         check_time "no simulated time elapsed" t0 ((M.clock m).M.now)));
   M.run m;
   Alcotest.(check (list int)) "drained" [ 1; 2 ] !got;
   Alcotest.(check int) "fast path is not a wakeup" 0 (M.Poll.wakeups poll);
@@ -398,7 +398,7 @@ let simulate_workload seed =
     ignore
       (M.spawn m p ~name:(Printf.sprintf "t%d" i) (fun () ->
            M.compute m cost;
-           trace := (i, M.now m) :: !trace))
+           trace := (i, (M.clock m).M.now) :: !trace))
   done;
   M.run m;
   ((M.stats m).M.total_time, !trace)
@@ -434,7 +434,7 @@ let prop_work_conservation =
       (M.stats m).M.total_time <= Bunshin_util.Stats.sum costs +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Op counters *)
+(* Op counters, the flat clock and compute_split *)
 
 let check_int = Alcotest.(check int)
 
@@ -477,6 +477,54 @@ let test_op_counts () =
   check_int "timer pops" 1 o.M.timer_pops;
   check_int "heap pops" 1 o.M.heap_pops
 
+let test_clock_record () =
+  let m = M.create ~config:(cfg ()) () in
+  let clk = M.clock m in
+  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+  let seen = ref [] in
+  let look () = seen := clk.M.now :: !seen in
+  ignore
+    (M.spawn m p ~name:"t" (fun () ->
+         look ();
+         M.compute m 7.0;
+         look ();
+         M.sleep m 3.0;
+         look ()));
+  M.run m;
+  Alcotest.(check bool) "one record per machine" true (M.clock m == clk);
+  Alcotest.(check (list (float 0.0))) "times" [ 10.0; 7.0; 0.0 ] !seen
+
+(* compute_split against the same steps done through the public API, on a
+   contended core with context switches and cache inflation, so the
+   measured share is not simply the requested cost. *)
+let split_run ~split =
+  let m = M.create ~config:(cfg ~cores:1 ~quantum:4.0 ~ctx:1.0 ~llc:1.0 ()) () in
+  let body () =
+    for _ = 1 to 5 do
+      if split then M.compute_split m 9.0 ~slot:7 ~to_:8 ~share:0.3
+      else begin
+        let self = M.self m in
+        let prev = M.set_phase m 7 in
+        let before = M.thread_phase m self 7 in
+        M.compute m 9.0;
+        let delta = M.thread_phase m self 7 -. before in
+        ignore (M.set_phase m prev);
+        M.reattribute m ~from_:7 ~to_:8 (delta *. 0.3)
+      end;
+      M.compute m 1.0
+    done
+  in
+  let a = M.spawn m (M.new_proc m ~name:"p" ~working_set:1.5 ()) ~name:"a" body in
+  let b = M.spawn m (M.new_proc m ~name:"q" ~working_set:1.0 ()) ~name:"b" body in
+  M.run m;
+  let bits th = Array.to_list (Array.map Int64.bits_of_float (M.thread_phases m th)) in
+  (bits a, bits b, Int64.bits_of_float ((M.clock m).M.now))
+
+let test_compute_split_identity () =
+  let ((a, _, _) as manual) = split_run ~split:false in
+  Alcotest.(check bool) "share moved" true (List.nth a 8 <> 0L);
+  Alcotest.(check bool) "bit-identical phases and clock" true (split_run ~split:true = manual)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -509,7 +557,12 @@ let () =
           Alcotest.test_case "pressure peak" `Quick test_pressure_peak_recorded;
         ] );
       ("accounting", [ Alcotest.test_case "per-proc" `Quick test_proc_accounting ]);
-      ("ops", [ Alcotest.test_case "op counts" `Quick test_op_counts ]);
+      ( "ops",
+        [
+          Alcotest.test_case "op counts" `Quick test_op_counts;
+          Alcotest.test_case "flat clock record" `Quick test_clock_record;
+          Alcotest.test_case "compute_split identity" `Quick test_compute_split_identity;
+        ] );
       ( "waitq",
         [
           Alcotest.test_case "signal fifo" `Quick test_waitq_signal_fifo;
@@ -547,8 +600,8 @@ let test_timeslice_shares_single_core () =
   let m = M.create ~config:(cfg ~cores:1 ~quantum:25.0 ~ctx:0.0 ()) () in
   let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
   let a_done = ref 0.0 and b_done = ref 0.0 in
-  ignore (M.spawn m p ~name:"a" (fun () -> M.compute m 200.0; a_done := M.now m));
-  ignore (M.spawn m p ~name:"b" (fun () -> M.compute m 200.0; b_done := M.now m));
+  ignore (M.spawn m p ~name:"a" (fun () -> M.compute m 200.0; a_done := (M.clock m).M.now));
+  ignore (M.spawn m p ~name:"b" (fun () -> M.compute m 200.0; b_done := (M.clock m).M.now));
   M.run m;
   check_time "serial sum" 400.0 (M.stats m).M.total_time;
   (* Fair slicing: the first finisher ends well before the second. *)

@@ -42,8 +42,8 @@ let test_fifo_latency () =
   let proc = M.new_proc src ~name:"sender" ~working_set:8.0 () in
   ignore
     (M.spawn src proc ~name:"send" (fun () ->
-         Net.send net l ~bytes:1000 (fun () -> arrivals := ("a", M.now dst) :: !arrivals);
-         Net.send net l ~bytes:500 (fun () -> arrivals := ("b", M.now dst) :: !arrivals)));
+         Net.send net l ~bytes:1000 (fun () -> arrivals := ("a", (M.clock dst).M.now) :: !arrivals);
+         Net.send net l ~bytes:500 (fun () -> arrivals := ("b", (M.clock dst).M.now) :: !arrivals)));
   run2 src dst;
   (match List.rev !arrivals with
    | [ ("a", ta); ("b", tb) ] ->
@@ -68,7 +68,7 @@ let test_idle_gap () =
   ignore
     (M.spawn src proc ~name:"send" (fun () ->
          M.sleep src 100.0;
-         Net.send net l ~bytes:10 (fun () -> arrival := M.now dst)));
+         Net.send net l ~bytes:10 (fun () -> arrival := (M.clock dst).M.now)));
   run2 src dst;
   (* departs at 100, +1us serialization, +5 latency *)
   Alcotest.(check (float 1e-9)) "arrival" 106.0 !arrival
@@ -85,7 +85,7 @@ let test_loss_determinism () =
     ignore
       (M.spawn src proc ~name:"send" (fun () ->
            for i = 0 to 19 do
-             Net.send net l ~bytes:100 (fun () -> arrivals := (i, M.now dst) :: !arrivals)
+             Net.send net l ~bytes:100 (fun () -> arrivals := (i, (M.clock dst).M.now) :: !arrivals)
            done));
     run2 src dst;
     (List.rev !arrivals, Net.link_stats l)
@@ -136,8 +136,8 @@ let test_telemetry_counters () =
     let proc = M.new_proc src ~name:"s" ~working_set:8.0 () in
     ignore
       (M.spawn src proc ~name:"send" (fun () ->
-           Net.send net l ~bytes:100 (fun () -> arrivals := M.now dst :: !arrivals);
-           Net.send net l ~bytes:200 (fun () -> arrivals := M.now dst :: !arrivals)));
+           Net.send net l ~bytes:100 (fun () -> arrivals := (M.clock dst).M.now :: !arrivals);
+           Net.send net l ~bytes:200 (fun () -> arrivals := (M.clock dst).M.now :: !arrivals)));
     run2 src dst;
     !arrivals
   in

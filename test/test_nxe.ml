@@ -825,12 +825,34 @@ let test_request_run_budget () =
   let traces = src.Serve.src_request ~req_id:0 in
   let run () = Nxe.run_traces ~config:Nxe.selective ~names:src.Serve.src_names traces in
   Alcotest.(check int) "one request is 3 syncs" 3 (run ()).Nxe.synced_syscalls;
-  check_run_budget "jittered lighttpd request, 3 variants" ~budget:2600.0 run
+  check_run_budget "jittered lighttpd request, 3 variants" ~budget:1800.0 run
 
 let test_work_only_run_budget () =
   let t = [ work 10.0; work 5.0 ] in
-  check_run_budget "work-only run, 3 variants" ~budget:2000.0 (fun () ->
+  check_run_budget "work-only run, 3 variants" ~budget:1550.0 (fun () ->
       Nxe.run_traces ~config:Nxe.selective ~names:(names 3) [ t; t; t ])
+
+(* Per-sync allocation on a long strict run: the publish/fetch/vote path
+   and the machine under it.  Each effect a fiber performs costs the
+   runtime's 2-word continuation (~15 per sync at n = 3); everything above
+   that is engine allocation.  Measured as the whole run's minor words
+   over its synchronized syscalls, set-up included. *)
+let test_dense_sync_budget () =
+  let funcs =
+    List.map
+      (fun f -> (f.Program.fn_name, 1.0))
+      (Bunshin_workloads.Spec.find "bzip2").Bunshin_workloads.Bench.prog.Program.funcs
+  in
+  let t =
+    Bunshin_workloads.Bench.cpu_trace ~funcs ~units:3000 ~unit_cost:2.0 ~syscall_every:2
+      (Bunshin_util.Rng.create 0xb21b2)
+  in
+  let run () = Nxe.run_traces ~names:(names 3) [ t; t; t ] in
+  let syncs = (run ()).Nxe.synced_syscalls in
+  Alcotest.(check bool) "a dense run" true (syncs > 1000);
+  let per_sync = minor_words_per_run run /. float_of_int syncs in
+  if per_sync > 50.0 then
+    Alcotest.failf "strict dense run, 3 variants: %.1f minor words per sync (budget 50)" per_sync
 
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -902,6 +924,7 @@ let () =
         [
           Alcotest.test_case "request run allocation" `Quick test_request_run_budget;
           Alcotest.test_case "work-only run allocation" `Quick test_work_only_run_budget;
+          Alcotest.test_case "dense sync allocation" `Quick test_dense_sync_budget;
         ] );
       ( "soak",
         [
